@@ -7,6 +7,9 @@ doubles as a cross-backend agreement check: both backends must compute the
 exact same rationals.
 
 Usage: python3 benchmarks/backend_bench.py [--functions N] [--pieces N]
+
+The workers import convval from this checkout's src directory, ahead of any
+PYTHONPATH already set, so nothing needs installing.
 """
 
 import argparse
@@ -14,6 +17,8 @@ import json
 import os
 import subprocess
 import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _WORKER = r"""
 import hashlib
@@ -60,7 +65,8 @@ print(json.dumps({"backend": BACKEND, "seconds": elapsed, "digest": digest.hexdi
 
 
 def run_backend(name, n_funcs, max_pieces):
-    env = dict(os.environ, CONVVAL_RATIONAL=name)
+    path = [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, CONVVAL_RATIONAL=name, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-c", _WORKER, str(n_funcs), str(max_pieces)],
         capture_output=True,

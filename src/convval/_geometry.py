@@ -29,8 +29,10 @@ def int_scaled(points):
     denom = 1
     for p in points:
         for v in p:
-            denom = denom * v.denominator // math.gcd(denom, int(v.denominator))
-    scaled = [tuple(int(v.numerator) * (denom // int(v.denominator)) for v in p) for p in points]
+            d = int(v.denominator)
+            if d != 1:
+                denom = math.lcm(denom, d)
+    scaled = [tuple([int(v.numerator) * (denom // int(v.denominator)) for v in p]) for p in points]
     return scaled, denom
 
 

@@ -2,12 +2,23 @@
 
 Problems here are tiny: a handful of equality rows (ambient dimension plus
 one or two) against a moderate number of nonnegative columns.  A dense
-rational tableau with Bland's anti-cycling rule is exact, always terminates,
-and is fast at this scale; no sparse or floating-point machinery is wanted.
+tableau with Bland's anti-cycling rule is exact, always terminates, and is
+fast at this scale; no sparse or floating-point machinery is wanted.
+
+The tableau holds Python ints: integer-preserving pivoting, as in Bareiss
+(1968) and Avis's lrs (2000).  Each row is a primitive integer vector u that
+stands for the rational row u / u[basis[r]].  The basic entry of a rational
+tableau row is 1, so u[basis[r]] is that row's positive denominator.  The
+objective row is an integer vector over its own positive denominator.  Every
+sign test, ratio comparison (by cross-multiplication) and Bland choice is the
+rational tableau's, so the pivot path and every result are too.
 
 Standard form: minimize c.x subject to A x = b, x >= 0.
 """
 
+from math import gcd, lcm
+
+from ._geometry import int_scaled
 from .rational import Q
 
 OPTIMAL = "optimal"
@@ -15,50 +26,108 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Q(0)
-_ONE = Q(1)
+
+
+def _content(v, g):
+    """gcd of g and the entries of v, stopping as soon as it reaches 1."""
+    for a in v:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                break
+    return g
+
+
+def _primitive(v):
+    """An integer row divided by the gcd of its entries (not all zero)."""
+    g = _content(v, 0)
+    return v if g == 1 else [a // g for a in v]
 
 
 def _pivot(tableau, obj, row, col):
-    piv = tableau[row][col]
-    inv = _ONE / piv
-    tableau[row] = [v * inv for v in tableau[row]]
-    prow = tableau[row]
-    for r in range(len(tableau)):
-        if r == row:
-            continue
-        factor = tableau[r][col]
-        if factor != 0:
-            tableau[r] = [v - factor * p for v, p in zip(tableau[r], prow)]
-    factor = obj[col]
-    if factor != 0:
-        for j in range(len(obj)):
-            obj[j] = obj[j] - factor * prow[j]
+    """Make col basic in row.  obj is [numerators, denominator] or None."""
+    w = tableau[row]
+    wc = w[col]
+    if wc < 0:
+        w = [-a for a in w]
+        wc = -wc
+        tableau[row] = w
+    for r, u in enumerate(tableau):
+        uc = u[col]
+        if uc and r != row:
+            tableau[r] = _primitive([a * wc - uc * p for a, p in zip(u, w)])
+    if obj is not None:
+        o, d = obj
+        oc = o[col]
+        if oc:
+            o = [a * wc - oc * p for a, p in zip(o, w)]
+            d *= wc
+            g = _content(o, d)
+            if g > 1:
+                o = [a // g for a in o]
+                d //= g
+            obj[0] = o
+            obj[1] = d
 
 
 def _run(tableau, obj, basis, ncols):
     """Bland-rule simplex loop over the first ncols columns. Returns status."""
-    m = len(tableau)
     while True:
+        o = obj[0]
         col = -1
         for j in range(ncols):
-            if obj[j] < 0:
+            if o[j] < 0:
                 col = j
                 break
         if col < 0:
             return OPTIMAL
+        # Least ratio u[-1] / u[col] over rows with u[col] > 0; ties go to
+        # the smaller basic column.
         row = -1
-        best = None
-        for r in range(m):
-            a = tableau[r][col]
+        for r, u in enumerate(tableau):
+            a = u[col]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
+                if row >= 0:
+                    lhs = u[-1] * den
+                    rhs = num * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[row]):
+                        continue
+                row, num, den = r, u[-1], a
         if row < 0:
             return UNBOUNDED
         _pivot(tableau, obj, row, col)
         basis[row] = col
+
+
+def _phase1(A, b, n):
+    """Phase 1 on [A | I | b]: minimize the sum of the artificials.
+
+    Rows with a negative right-hand side are negated first.  Returns
+    (tableau, basis, feasible).
+    """
+    m = len(A)
+    tableau = []
+    for i in range(m):
+        (row,), den = int_scaled([list(A[i]) + [b[i]]])
+        sign = -1 if row[-1] < 0 else 1
+        art = [0] * m
+        art[i] = den
+        tableau.append([sign * a for a in row[:-1]] + art + [sign * row[-1]])
+    # Objective: minus the column sums of the rational rows, over the lcm of
+    # the row denominators; the artificial columns start at zero.
+    den = 1
+    for i, u in enumerate(tableau):
+        den = lcm(den, u[n + i])
+    o = [0] * (n + m + 1)
+    for i, u in enumerate(tableau):
+        s = den // u[n + i]
+        for j in range(n):
+            o[j] -= u[j] * s
+        o[-1] -= u[-1] * s
+    obj = [o, den]
+    basis = list(range(n, n + m))
+    _run(tableau, obj, basis, n + m)
+    return tableau, basis, obj[0][-1] == 0
 
 
 def solve_eq(A, b, c):
@@ -67,95 +136,60 @@ def solve_eq(A, b, c):
     Returns (status, value, x) where status is OPTIMAL, INFEASIBLE or
     UNBOUNDED; value and x are None unless OPTIMAL.
     """
-    m = len(A)
     n = len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Q(v) for v in A[i]]
-        bi = Q(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        rows.append(row)
-        rhs.append(bi)
-
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    tableau = []
-    for i in range(m):
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(rows[i] + art + [rhs[i]])
-    basis = list(range(n, n + m))
-    obj = [_ZERO] * (n + m + 1)
-    for j in range(n):
-        obj[j] = -sum((tableau[i][j] for i in range(m)), _ZERO)
-    obj[-1] = -sum(rhs, _ZERO)
-    _run(tableau, obj, basis, n + m)
-    if -obj[-1] != 0:
+    tableau, basis, feasible = _phase1(A, b, n)
+    if not feasible:
         return INFEASIBLE, None, None
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
+    # Drive leftover artificials out of the basis; drop redundant rows.  The
+    # phase-1 objective is not needed any more.
     r = 0
     while r < len(tableau):
         if basis[r] >= n:
+            u = tableau[r]
             col = -1
             for j in range(n):
-                if tableau[r][j] != 0:
+                if u[j]:
                     col = j
                     break
             if col < 0:
                 del tableau[r]
                 del basis[r]
                 continue
-            _pivot(tableau, obj, r, col)
+            _pivot(tableau, None, r, col)
             basis[r] = col
         r += 1
 
-    # Phase 2 on the original columns only.
-    tableau = [row[:n] + [row[-1]] for row in tableau]
-    cost = [Q(v) for v in c]
-    obj = [_ZERO] * (n + 1)
-    for j in range(n + 1):
-        acc = cost[j] if j < n else _ZERO
-        for r in range(len(tableau)):
-            cb = cost[basis[r]]
-            if cb != 0:
-                acc -= cb * tableau[r][j]
-        obj[j] = acc
+    # Phase 2 on the original columns only.  Reduced costs are
+    # cost - sum_r cost[basis[r]] * u_r / u_r[basis[r]], over cden times the
+    # lcm of the denominators of the rows with a nonzero basic cost.
+    tableau = [_primitive(u[:n] + u[-1:]) for u in tableau]
+    (cost,), cden = int_scaled([c])
+    den = 1
+    for r, u in enumerate(tableau):
+        if cost[basis[r]]:
+            den = lcm(den, u[basis[r]])
+    o = [v * den for v in cost]
+    o.append(0)
+    for r, u in enumerate(tableau):
+        cb = cost[basis[r]]
+        if cb:
+            s = cb * (den // u[basis[r]])
+            for j in range(n + 1):
+                o[j] -= u[j] * s
+    obj = [o, cden * den]
 
     status = _run(tableau, obj, basis, n)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [_ZERO] * n
-    for r in range(len(tableau)):
-        x[basis[r]] = tableau[r][-1]
-    return OPTIMAL, -obj[-1], x
+    for r, u in enumerate(tableau):
+        x[basis[r]] = Q(u[-1], u[basis[r]])
+    o, d = obj
+    return OPTIMAL, Q(-o[-1], d), x
 
 
 def feasible_eq(A, b):
     """Is {A x = b, x >= 0} nonempty?  Phase 1 only."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Q(v) for v in A[i]]
-        bi = Q(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        rows.append(row)
-        rhs.append(bi)
-    tableau = []
-    for i in range(m):
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(rows[i] + art + [rhs[i]])
-    basis = list(range(n, n + m))
-    obj = [_ZERO] * (n + m + 1)
-    for j in range(n):
-        obj[j] = -sum((tableau[i][j] for i in range(m)), _ZERO)
-    obj[-1] = -sum(rhs, _ZERO)
-    _run(tableau, obj, basis, n + m)
-    return -obj[-1] == 0
+    n = len(A[0]) if A else 0
+    return _phase1(A, b, n)[2]

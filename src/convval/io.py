@@ -49,6 +49,25 @@ def _vec_parse(items, where):
     return tuple(parse_rational(v, where) for v in items)
 
 
+def _dim_parse(doc, where):
+    """The "dim" field: a JSON integer, never a float, bool or string."""
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"expected an integer dimension, got {dim!r}", f"{where}.dim")
+    return dim
+
+
+def _points_parse(items, dim, where):
+    """Points of length dim, each located at where[i] when malformed."""
+    points = []
+    for i, v in enumerate(items):
+        point = _vec_parse(v, f"{where}[{i}]")
+        if len(point) != dim:
+            raise ParseError(f"point has length {len(point)}, expected {dim}", f"{where}[{i}]")
+        points.append(point)
+    return points
+
+
 def function_to_doc(f):
     return {
         "dim": f.dim,
@@ -58,7 +77,7 @@ def function_to_doc(f):
 
 def function_from_doc(doc, where="function"):
     try:
-        dim = int(doc["dim"])
+        dim = _dim_parse(doc, where)
         pieces = [
             (_vec_parse(p["a"], f"{where}.pieces[{i}].a"), parse_rational(p["b"], f"{where}.pieces[{i}].b"))
             for i, p in enumerate(doc["pieces"])
@@ -77,8 +96,8 @@ def polytope_to_doc(K):
 
 def polytope_from_doc(doc, where="polytope"):
     try:
-        dim = int(doc["dim"])
-        verts = [_vec_parse(v, f"{where}.vertices[{i}]") for i, v in enumerate(doc["vertices"])]
+        dim = _dim_parse(doc, where)
+        verts = _points_parse(doc["vertices"], dim, f"{where}.vertices")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polytope document: {exc}", where)
     return Polytope(dim, verts)
@@ -90,11 +109,8 @@ def lifted_to_doc(g):
 
 def lifted_from_doc(doc, where="lifted"):
     try:
-        dim = int(doc["dim"])
-        verts = [
-            _vec_parse(v, f"{where}.lifted_vertices[{i}]")
-            for i, v in enumerate(doc["lifted_vertices"])
-        ]
+        dim = _dim_parse(doc, where)
+        verts = _points_parse(doc["lifted_vertices"], dim + 1, f"{where}.lifted_vertices")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lifted polytope document: {exc}", where)
     return LiftedPolytope(dim, verts)
@@ -147,7 +163,7 @@ def valuation_spec_to_doc(spec):
 def valuation_spec_from_doc(doc, where="valuation"):
     try:
         variant = doc["variant"]
-        dim = int(doc["dim"])
+        dim = _dim_parse(doc, where)
         c = parse_rational(doc["c"], f"{where}.c")
         nu = measure_from_doc(doc["nu"], f"{where}.nu")
     except (KeyError, TypeError) as exc:

@@ -190,3 +190,40 @@ def test_wrong_document_shape_exits_two(capsys, files):
     code, out, err = run(capsys, "eval", files["square"], "--point", "0,0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", 1.5, True])
+def test_malformed_dim_exits_two_with_location(capsys, files, bad):
+    function = {"dim": bad, "pieces": [{"a": ["1/1"], "b": "0/1"}]}
+    lifted = {"dim": bad, "lifted_vertices": [["0/1", "0/1"], ["1/1", "1/1"]]}
+    polytope = {"dim": bad, "vertices": [["0/1"], ["1/1"]]}
+    spec = {"variant": "equivariant", "dim": bad, "c": "0/1",
+            "nu": {"atoms": [{"s": "1/1", "w": "1/1"}]}}
+    paths = {}
+    for name, doc in (("function", function), ("lifted", lifted),
+                      ("polytope", polytope), ("spec", spec)):
+        paths[name] = files["dir"] / f"bad_{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    for argv in (
+        ("eval", paths["function"], "--point", "0"),
+        ("eval", paths["lifted"], "--point", "0"),
+        ("diffbody", paths["polytope"]),
+        ("projbody", paths["polytope"], "--direction", "1"),
+        ("psi", paths["spec"], files["absval"], "--point", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert ".dim: expected an integer dimension" in err, argv
+
+
+def test_vertex_length_error_exits_two_with_location(capsys, files):
+    bad = files["dir"] / "short_vertex.json"
+    bad.write_text(json.dumps({"dim": 2, "vertices": [["0/1", "0/1"], ["1/1"]]}))
+    code, out, err = run(capsys, "diffbody", bad)
+    assert code == 2
+    assert "vertices[1]: point has length 1, expected 2" in err
+    bad = files["dir"] / "short_lifted.json"
+    bad.write_text(json.dumps({"dim": 1, "lifted_vertices": [["0/1", "0/1"], ["1/1"]]}))
+    code, out, err = run(capsys, "eval", bad, "--point", "0")
+    assert code == 2
+    assert "lifted_vertices[1]: point has length 1, expected 2" in err

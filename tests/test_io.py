@@ -197,3 +197,31 @@ def test_pos_inf_round_trips_through_the_codec():
     doc = value_to_doc(POS_INF)
     assert doc == {"kind": "posinf"}
     assert value_from_doc(doc) is POS_INF
+
+
+@pytest.mark.parametrize("bad", ["abc", "2", 1.5, True, None, [2]])
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (function_from_doc, {"pieces": [{"a": ["1/1"], "b": "0/1"}]}),
+        (polytope_from_doc, {"vertices": [["0/1"], ["1/1"]]}),
+        (lifted_from_doc, {"lifted_vertices": [["0/1", "0/1"]]}),
+        (valuation_spec_from_doc,
+         {"variant": "equivariant", "c": "0/1", "nu": {"atoms": [{"s": "1/1", "w": "1/1"}]}}),
+    ],
+)
+def test_dim_must_be_a_json_integer(parse, doc, bad):
+    with pytest.raises(ParseError) as info:
+        parse(dict(doc, dim=bad), where="doc")
+    assert info.value.where == "doc.dim"
+
+
+def test_vertex_length_errors_carry_their_index():
+    with pytest.raises(ParseError) as info:
+        polytope_from_doc({"dim": 2, "vertices": [["0/1", "0/1"], ["1/1"]]})
+    assert info.value.where == "polytope.vertices[1]"
+    assert "length 1, expected 2" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        lifted_from_doc({"dim": 1, "lifted_vertices": [["0/1", "0/1"], ["1/1", "2/1", "3/1"]]})
+    assert info.value.where == "lifted.lifted_vertices[1]"
+    assert "length 3, expected 2" in str(info.value)
