@@ -14,7 +14,7 @@ from .linalg import RationalMatrix
 from .maxaffine import MaxAffineFn, prune
 from .polytopes import Polytope
 from .rational import Q
-from .valuations import DiscreteMeasure, ValuationSpec
+from .valuations import DiscreteMeasure
 
 MAX_PIECES = 8
 NUM_RANGE = (-8, 8)
@@ -60,13 +60,6 @@ def rand_maxaffine(rng, dim, max_pieces=MAX_PIECES):
 
 def rand_affine(rng, dim):
     return MaxAffineFn.affine(rand_point(rng, dim), rand_rational(rng))
-
-
-def rand_scale(rng):
-    """Nonnegative scaling factor, occasionally zero."""
-    if rng.random() < Q(1, 10):
-        return _ZERO
-    return Q(rng.randint(0, 8), rng.randint(1, 4))
 
 
 def rand_sl_matrix(rng, dim, max_word=4):
@@ -145,14 +138,6 @@ def rand_invalid_measure(rng, max_atoms=3):
         nu = DiscreteMeasure(atoms)
         if nu.signed_reciprocal_moment() != 0:
             return nu
-
-
-def rand_valuation_spec(rng, variant, dim, valid=True):
-    nu = rand_valid_measure(rng) if valid else rand_invalid_measure(rng)
-    c = rand_rational(rng, -4, 4, 2)
-    if variant == "gl-endomorphism" and valid:
-        c = _ZERO
-    return ValuationSpec(variant, dim, c, nu)
 
 
 def rand_hinge_pair(rng, dim, base_pieces=6):

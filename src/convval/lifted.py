@@ -19,8 +19,7 @@ from . import _simplex
 from ._geometry import hrep_with_vertical_ray, vertices_of_hrep
 from .errors import CapabilityLimit, DimensionMismatch
 from .linalg import dot, solve_square
-from .maxaffine import MAX_HULL_DIM, MaxAffineFn, prune
-from .maxaffine import _lifted_vertex_filter
+from .maxaffine import MAX_HULL_DIM, MaxAffineFn, extreme_indices, prune
 from .rational import Q, rat_vector
 
 _ZERO = Q(0)
@@ -74,14 +73,15 @@ class LiftedPolytope:
                 )
         if not _canonical:
             pts = sorted(set(pts))
-            lifted = [(p[:dim], p[dim]) for p in pts]
-            kept = _lifted_vertex_filter(lifted, dim)
-            pts = [pts[i] for i in kept]
+            pts = [pts[i] for i in extreme_indices(pts, ray=True)]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", tuple(sorted(pts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LiftedPolytope is immutable")
+
+    def __reduce__(self):
+        return (LiftedPolytope, (self.dim, self.vertices, True))
 
     def evaluate(self, x):
         """Floor map: least height of the polytope above x, or POS_INF."""

@@ -148,6 +148,9 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        return (RationalMatrix, (self.rows,))
+
     @classmethod
     def identity(cls, n):
         return cls(tuple(unit_vector(n, i) for i in range(n)))

@@ -14,9 +14,13 @@ allowing slack upward?).  Dimensions above MAX_HULL_DIM are refused rather
 than silently approximated.
 """
 
+from functools import lru_cache
+from operator import mul
+
 from . import _simplex
+from ._geometry import int_scaled
 from .errors import CapabilityLimit, DimensionMismatch
-from .linalg import RationalMatrix, dot
+from .linalg import RationalMatrix
 from .rational import Q, rat, rat_vector
 
 MAX_HULL_DIM = 4
@@ -26,9 +30,14 @@ _ONE = Q(1)
 
 
 class MaxAffineFn:
-    """x -> max over pieces (a, b) of <a, x> + b, with exact coefficients."""
+    """x -> max over pieces (a, b) of <a, x> + b, with exact coefficients.
 
-    __slots__ = ("dim", "pieces")
+    The integer image of the pieces, each a + (b,) scaled by one common
+    denominator, is built on first evaluation and kept; it takes no part in
+    equality, hashing, printing or pickling.
+    """
+
+    __slots__ = ("dim", "pieces", "_ints")
 
     def __init__(self, dim, pieces):
         if dim < 1:
@@ -43,9 +52,13 @@ class MaxAffineFn:
             raise ValueError("a max-affine function needs at least one piece")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", tuple(sorted(set(norm))))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MaxAffineFn is immutable")
+
+    def __reduce__(self):
+        return (MaxAffineFn, (self.dim, self.pieces))
 
     @classmethod
     def affine(cls, a, b):
@@ -64,7 +77,11 @@ class MaxAffineFn:
         x = rat_vector(x)
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has length {len(x)}, expected {self.dim}")
-        return max(dot(a, x) + b for a, b in self.pieces)
+        if self._ints is None:
+            object.__setattr__(self, "_ints", int_scaled([a + (b,) for a, b in self.pieces]))
+        rows, den = self._ints
+        (xi,), dx = int_scaled([x + (1,)])
+        return Q(max(sum(map(mul, r, xi)) for r in rows), den * dx)
 
     __call__ = evaluate
 
@@ -188,46 +205,62 @@ def _certify_directions(dim):
     return dirs
 
 
-def _lifted_vertex_filter(lifted, dim):
-    """Indices of lower-hull vertices among lifted points (y, t) in R^(dim+1).
+@lru_cache(maxsize=None)
+def _int_directions(n, ray):
+    # The certificate directions for points in R^n, each scaled to integers.
+    # With an upward ray in the last coordinate a direction is (y, -1): its
+    # unique maximizer is the unique minimizer of t - <y, a> over points (a, t).
+    tail = (-_ONE,) if ray else ()
+    return tuple(int_scaled([y + tail])[0][0] for y in _certify_directions(n - 1 if ray else n))
 
-    A point is a lower-hull vertex iff it is NOT expressible as a convex
-    combination of the other points plus nonnegative vertical slack.
+
+def extreme_indices(points, ray=False):
+    """Indices of the extreme points of a deduplicated point list in R^n.
+
+    A point is extreme iff it is not a convex combination of the others,
+    plus nonnegative upward slack in the last coordinate when ray is set
+    (then the extreme points are the lower-hull vertices).  Cheap
+    certificates first (the unique maximizer of a fixed direction is
+    extreme), then one exact feasibility problem per remaining point.  Both
+    run on the points scaled to integers by their common denominator d.
+    Every LP row, the ones row and the slack entry included, is the rational
+    row times d, so each LP takes the rational LP's pivot path.
     """
-    m = len(lifted)
+    m = len(points)
     if m == 1:
         return [0]
-    kept = set()
-    # Certificate pass: unique maximizer of <y, a> + b over pieces, i.e.
-    # unique minimizer of t - <y, a-part>; phrase directly on lifted points.
-    for y in _certify_directions(dim):
+    n = len(points[0])
+    ints, d = int_scaled(points)
+    certified = set()
+    for y in _int_directions(n, ray):
         best = None
         best_i = -1
         tie = False
-        for i, (a, t) in enumerate(lifted):
-            val = dot(y, a) - t
+        for i, p in enumerate(ints):
+            val = sum(map(mul, y, p))
             if best is None or val > best:
                 best, best_i, tie = val, i, False
             elif val == best:
                 tie = True
         if not tie:
-            kept.add(best_i)
-    out = []
+            certified.add(best_i)
+    free = n - 1 if ray else n
+    slack = [0] if ray else []
+    kept = []
     for i in range(m):
-        if i in kept:
-            out.append(i)
+        if i in certified:
+            kept.append(i)
             continue
-        others = [lifted[j] for j in range(m) if j != i]
-        ai, ti = lifted[i]
-        rows = []
-        for k in range(dim):
-            rows.append([p[0][k] for p in others] + [_ZERO])
-        rows.append([_ONE] * len(others) + [_ZERO])
-        rows.append([p[1] for p in others] + [_ONE])
-        rhs = list(ai) + [_ONE, ti]
+        others = ints[:i] + ints[i + 1 :]
+        rows = [[p[k] for p in others] + slack for k in range(free)]
+        rows.append([d] * (m - 1) + slack)
+        rhs = list(ints[i][:free]) + [d]
+        if ray:
+            rows.append([p[-1] for p in others] + [d])
+            rhs.append(ints[i][-1])
         if not _simplex.feasible_eq(rows, rhs):
-            out.append(i)
-    return out
+            kept.append(i)
+    return kept
 
 
 def prune(f):
@@ -249,6 +282,5 @@ def prune(f):
     pieces = [(a, b) for a, b in best.items()]
     if len(pieces) == 1:
         return MaxAffineFn(f.dim, pieces)
-    lifted = [(a, -b) for a, b in pieces]
-    kept = _lifted_vertex_filter(lifted, f.dim)
+    kept = extreme_indices([a + (-b,) for a, b in pieces], ray=True)
     return MaxAffineFn(f.dim, [pieces[i] for i in kept])

@@ -12,60 +12,27 @@ identity checks cheap and independent of hull enumeration.
 """
 
 from itertools import combinations
+from operator import mul
 
-from . import _simplex
-from ._geometry import affine_rank, cyclic_order, facet_enum, volume as _hull_volume
+from ._geometry import affine_rank, cyclic_order, facet_enum, int_scaled, volume as _hull_volume
 from .errors import CapabilityLimit, DimensionMismatch
-from .linalg import dot, matrix_rank, nullspace, vadd, vneg, vsub
-from .maxaffine import _certify_directions
+from .linalg import dot, nullspace, vadd, vneg, vsub
+from .maxaffine import extreme_indices
 from .rational import Q, rat, rat_vector
 
 MAX_DIM = 4
 AREA_VECTOR_DIMS = (2, 3)
 
 _ZERO = Q(0)
-_ONE = Q(1)
-
-
-def _extreme_indices(points, dim):
-    """Indices of extreme points among a deduplicated full-rank point list.
-
-    Cheap certificates first (unique maximizer of a fixed direction is
-    extreme), then one exact feasibility problem per remaining point:
-    a point is non-extreme iff it is a convex combination of the others.
-    """
-    m = len(points)
-    if m == 1:
-        return [0]
-    certified = set()
-    for y in _certify_directions(dim):
-        best = None
-        best_i = -1
-        tie = False
-        for i, p in enumerate(points):
-            val = dot(y, p)
-            if best is None or val > best:
-                best, best_i, tie = val, i, False
-            elif val == best:
-                tie = True
-        if not tie:
-            certified.add(best_i)
-    kept = []
-    for i in range(m):
-        if i in certified:
-            kept.append(i)
-            continue
-        others = [points[j] for j in range(m) if j != i]
-        rows = [[p[k] for p in others] for k in range(dim)]
-        rows.append([_ONE] * len(others))
-        rhs = list(points[i]) + [_ONE]
-        if not _simplex.feasible_eq(rows, rhs):
-            kept.append(i)
-    return kept
 
 
 class Polytope:
-    """Convex polytope in canonical V-representation."""
+    """Convex polytope in canonical V-representation.
+
+    `_cache` keeps derived data, such as the vertices scaled to integers by
+    one common denominator; it takes no part in equality, hashing, printing
+    or pickling.
+    """
 
     __slots__ = ("dim", "vertices", "_cache")
 
@@ -87,7 +54,7 @@ class Polytope:
                 if rank == 0:
                     pts = pts[:1]
                 elif rank == dim:
-                    pts = [pts[i] for i in _extreme_indices(pts, dim)]
+                    pts = [pts[i] for i in extreme_indices(pts)]
                 else:
                     pts = _lower_rank_extremes(pts, rank)
         object.__setattr__(self, "dim", dim)
@@ -96,6 +63,9 @@ class Polytope:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
+
+    def __reduce__(self):
+        return (Polytope, (self.dim, self.vertices, True))
 
     @classmethod
     def hull(cls, points, dim=None):
@@ -111,7 +81,11 @@ class Polytope:
         u = rat_vector(u)
         if len(u) != self.dim:
             raise DimensionMismatch(f"direction has length {len(u)}, expected {self.dim}")
-        return max(dot(u, v) for v in self.vertices)
+        if "ints" not in self._cache:
+            self._cache["ints"] = int_scaled(self.vertices)
+        verts, den = self._cache["ints"]
+        (ui,), du = int_scaled([u])
+        return Q(max(sum(map(mul, ui, v)) for v in verts), den * du)
 
     def translate(self, z):
         z = rat_vector(z)
@@ -154,7 +128,7 @@ def _lower_rank_extremes(pts, rank):
 
     chart = Chart(pts)
     coords = [chart.coords_of_point(p) for p in pts]
-    kept = _extreme_indices(coords, rank)
+    kept = extreme_indices(coords)
     return [pts[i] for i in kept]
 
 
@@ -223,24 +197,29 @@ def facet_area_vectors(K):
 
 def _flat_area_vector(K):
     """Area vector of a body of affine dimension dim-1 (sign arbitrary)."""
+    if "flat_area_vector" in K._cache:
+        return K._cache["flat_area_vector"]
     verts = list(K.vertices)
     if K.dim == 2:
-        return (verts[-1][1] - verts[0][1], -(verts[-1][0] - verts[0][0]))
-    normal_dirs = [vsub(p, verts[0]) for p in verts[1:]]
-    comp = nullspace(normal_dirs, 3)
-    plane_normal = comp[0]
-    k = next(j for j, v in enumerate(plane_normal) if v != 0)
-    flat = [p[:k] + p[k + 1 :] for p in verts]
-    order = cyclic_order(flat)
-    ring = [verts[i] for i in order]
-    sx = sy = sz = _ZERO
-    for i in range(len(ring)):
-        a = ring[i]
-        b = ring[(i + 1) % len(ring)]
-        sx += a[1] * b[2] - a[2] * b[1]
-        sy += a[2] * b[0] - a[0] * b[2]
-        sz += a[0] * b[1] - a[1] * b[0]
-    return (sx / 2, sy / 2, sz / 2)
+        vec = (verts[-1][1] - verts[0][1], -(verts[-1][0] - verts[0][0]))
+    else:
+        normal_dirs = [vsub(p, verts[0]) for p in verts[1:]]
+        comp = nullspace(normal_dirs, 3)
+        plane_normal = comp[0]
+        k = next(j for j, v in enumerate(plane_normal) if v != 0)
+        flat = [p[:k] + p[k + 1 :] for p in verts]
+        order = cyclic_order(flat)
+        ring = [verts[i] for i in order]
+        sx = sy = sz = _ZERO
+        for i in range(len(ring)):
+            a = ring[i]
+            b = ring[(i + 1) % len(ring)]
+            sx += a[1] * b[2] - a[2] * b[1]
+            sy += a[2] * b[0] - a[0] * b[2]
+            sz += a[0] * b[1] - a[1] * b[0]
+        vec = (sx / 2, sy / 2, sz / 2)
+    K._cache["flat_area_vector"] = vec
+    return vec
 
 
 def projection_body_support(K, u):

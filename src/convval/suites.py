@@ -48,7 +48,6 @@ from .polytopes import (
     SupportEvaluator,
     cut_pair,
     difference_body,
-    minkowski_sum,
     projection_body_support,
     volume,
 )
@@ -874,24 +873,6 @@ def _replay_cut_identity(i):
     return lhs, make(i["P"]).value(u) + make(section).value(u)
 
 
-def _replay_volume_additivity(i):
-    below, above, _ = cut_pair(i["P"], i["w"], i["t"])
-    return volume(below) + volume(above), volume(i["P"])
-
-
-def _replay_support_additivity(i):
-    lhs = minkowski_sum(i["P"], i["Q"]).support(i["u"])
-    return lhs, i["P"].support(i["u"]) + i["Q"].support(i["u"])
-
-
-def _replay_rogers_shephard(i):
-    import math
-
-    P = i["P"]
-    n = P.dim
-    return volume(difference_body(P)), math.comb(2 * n, n) * volume(P)
-
-
 def _replay_difference_exact(i):
     return difference_body(i["P"]), i["expected"]
 
@@ -931,9 +912,6 @@ _REPLAY = {
     "polarization-diagonal": _replay_polarization_diagonal,
     "lifted-pairing": _replay_lifted_pairing,
     "cut-identity": _replay_cut_identity,
-    "volume-additivity": _replay_volume_additivity,
-    "support-additivity": _replay_support_additivity,
-    "rogers-shephard": _replay_rogers_shephard,
     "difference-exact": _replay_difference_exact,
     "volume-ratio": _replay_volume_ratio,
     "projection-exact": _replay_projection_exact,

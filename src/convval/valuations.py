@@ -297,16 +297,10 @@ def check_equivariance(spec, mode, group, trials, rng):
 def lift_vector_map(vector_map, f, x):
     """Evaluate x -> <x, v(f)> for a vector-valued map v; linear in x.
 
-    Linearity in x holds by construction of the scalar product; an exact
-    spot check on a doubled argument guards against a vector_map that peeks
-    at x through side effects.
+    Linearity in x holds by construction of the scalar product.
     """
     x = rat_vector(x)
     v = rat_vector(vector_map(f))
     if len(v) != len(x):
         raise DimensionMismatch(f"vector map returned length {len(v)}, expected {len(x)}")
-    value = sum((a * b for a, b in zip(x, v)), _ZERO)
-    doubled = sum((2 * a * b for a, b in zip(x, v)), _ZERO)
-    if doubled != 2 * value:
-        raise AssertionError("scalar product failed linearity spot check")
-    return value
+    return sum((a * b for a, b in zip(x, v)), _ZERO)

@@ -264,6 +264,16 @@ def test_projection_body_of_flat_body():
     assert projection_body_support(pt, (Q(1), Q(0))) == Q(0)
 
 
+def test_projection_body_of_flat_3d_body_caches_its_area_vector():
+    # A right triangle with legs 2 and 3 in the plane z = 1/2: area 3.
+    tri3 = poly(3, (0, 0, Q(1, 2)), (2, 0, Q(1, 2)), (0, 3, Q(1, 2)))
+    assert projection_body_support(tri3, (0, 0, 1)) == 3
+    assert projection_body_support(tri3, (0, 0, -2)) == 6
+    assert projection_body_support(tri3, (1, 0, 0)) == 0
+    assert "flat_area_vector" in tri3._cache
+    assert projection_body_support(tri3, (1, 1, Q(1, 3))) == 1
+
+
 def test_cut_pair_square_at_half():
     P = unit_square()
     K, L, M = cut_pair(P, (Q(1), Q(0)), Q(1, 2))
