@@ -3,7 +3,10 @@
 Everything operates on tuples of rationals.  Predicates (hyperplane sides,
 determinant signs) run on integer-rescaled copies of the input so the inner
 loops stay in machine-friendly integer arithmetic; measured quantities
-(volumes, area vectors) are returned in the original coordinates.
+(volumes, area vectors) are returned in the original coordinates.  Vertex
+enumeration is fraction-free from start to finish: each row is scaled once
+to a primitive integer row, every candidate system is solved by Bareiss
+elimination, and only the accepted vertices are turned into rationals.
 
 The algorithms are exhaustive rather than incremental: supporting-hyperplane
 search over point subsets for facets, recursive facet pyramids for volume,
@@ -15,8 +18,9 @@ dozen points), where exhaustive exact search is both simple and fast enough.
 import math
 
 from itertools import combinations
+from operator import mul
 
-from .errors import DimensionMismatch
+from .errors import CapabilityLimit
 from .linalg import dot, matrix_rank, nullspace, vsub
 from .rational import Q
 
@@ -312,7 +316,7 @@ def hrep_with_vertical_ray(points):
     seen = set()
 
     def emit(coeffs, rhs):
-        key = _primitive_rational(coeffs, rhs)
+        key = primitive_row(coeffs, rhs)
         if key in seen:
             return
         seen.add(key)
@@ -377,44 +381,58 @@ def hrep_with_vertical_ray(points):
     return ineqs, eqs
 
 
-def _primitive_rational(coeffs, rhs):
-    nums = [c.numerator for c in coeffs] + [rhs.numerator]
-    dens = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = 1
-    for den in dens:
-        scale = scale * int(den) // math.gcd(scale, int(den))
-    ints = [int(n) * (scale // int(d)) for n, d in zip(nums, dens)]
-    return _primitive(ints)
+def primitive_row(coeffs, rhs):
+    """The pair (coeffs, rhs) as one primitive integer row coeffs + (rhs,).
 
-
-def _solve_full_rank(rows, rhs, d):
-    """Unique solution of a (possibly overdetermined) consistent system.
-
-    Returns None when the rows have rank below d or the system is
-    inconsistent.
+    The scale factor is positive, so an inequality keeps its direction.
     """
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    rank = 0
+    (row,), _ = int_scaled([tuple(coeffs) + (rhs,)])
+    return _primitive(row)
+
+
+def int_solve(rows, d):
+    """Unique solution of the integer system [a | b] (a.x = b) in d unknowns.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): after k pivots
+    every entry is a (k+1)-minor of the input, so each division by the
+    previous pivot is exact, and every pivot row ends with the same diagonal
+    entry, the last pivot.  Returns (nums, den) in lowest terms with den > 0,
+    the point nums / den, or None when the rows have rank below d or the
+    system is inconsistent.
+    """
+    work = list(rows)
+    prev = 1
     for col in range(d):
-        piv = None
-        for r in range(rank, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
+        for piv in range(col, len(work)):
+            if work[piv][col]:
                 break
-        if piv is None:
+        else:
             return None
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = _ONE / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][-1] != 0:
+        prow = work[piv]
+        work[piv] = work[col]
+        work[col] = prow
+        p = prow[col]
+        for r, row in enumerate(work):
+            if r != col:
+                f = row[col]
+                work[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    for row in work[d:]:
+        if row[d]:
             return None
-    return tuple(aug[i][-1] for i in range(d))
+    nums = [work[i][d] for i in range(d)]
+    g = math.gcd(prev, *nums)
+    if prev < 0:
+        g = -g
+    if g != 1:
+        nums = [v // g for v in nums]
+    return tuple(nums), prev // g
+
+
+# Most active sets vertices_of_hrep will enumerate (a few seconds of work).
+# The tests and the benchmark workloads reach at most 560; a 25-piece by
+# 9-piece planar min-convex pair reaches 17,296.
+MAX_HREP_CANDIDATES = 200_000
 
 
 def vertices_of_hrep(ineqs, eqs, d):
@@ -422,30 +440,33 @@ def vertices_of_hrep(ineqs, eqs, d):
 
     Active-set enumeration: every vertex is the unique solution of the
     equalities plus some choice of tight inequalities.  Exhaustive and exact;
-    intended for small systems.
+    intended for small systems.  Every row is scaled once to a primitive
+    integer row; each candidate system is solved fraction-free and tested
+    as row . nums <= rhs * den, and only the vertices become rationals.
+    Raises CapabilityLimit when there are more than MAX_HREP_CANDIDATES
+    active sets to try.
     """
-    eq_rows = [list(c) for c, _ in eqs]
-    eq_rank = matrix_rank(eq_rows) if eq_rows else 0
+    eq_rank = matrix_rank([list(c) for c, _ in eqs]) if eqs else 0
     need = d - eq_rank
     if need < 0:
         return []
-    verts = set()
-    for subset in combinations(range(len(ineqs)), need):
-        rows = [c for c, _ in eqs] + [ineqs[i][0] for i in subset]
-        rhs = [b for _, b in eqs] + [ineqs[i][1] for i in subset]
-        point = _solve_full_rank(rows, rhs, d)
-        if point is None:
+    count = math.comb(len(ineqs), need)
+    if count > MAX_HREP_CANDIDATES:
+        raise CapabilityLimit(
+            f"vertex enumeration would try {count} active sets, "
+            f"more than the supported {MAX_HREP_CANDIDATES}"
+        )
+    eq_rows = [primitive_row(c, b) for c, b in eqs]
+    rows = [primitive_row(c, b) for c, b in ineqs]
+    found = set()
+    for subset in combinations(rows, need):
+        sol = int_solve(eq_rows + list(subset), d)
+        if sol is None or sol in found:
             continue
-        ok = True
-        for coeffs, bound in ineqs:
-            if dot(coeffs, point) > bound:
-                ok = False
+        nums, den = sol
+        for row in rows:
+            if sum(map(mul, row, nums)) > row[d] * den:
                 break
-        if ok:
-            for coeffs, bound in eqs:
-                if dot(coeffs, point) != bound:
-                    ok = False
-                    break
-        if ok:
-            verts.add(point)
-    return sorted(verts)
+        else:
+            found.add(sol)
+    return sorted(tuple(Q(x, den) for x in nums) for nums, den in found)

@@ -15,7 +15,7 @@ from .errors import DimensionMismatch
 from .linalg import RationalMatrix, dot, solve_square, unit_vector
 from .maxaffine import MaxAffineFn, add, compose_linear, max_of, prune, scale
 from .rational import Q, rat, rat_vector
-from .valuations import CheckReport, psi_eval
+from .valuations import psi_eval
 
 _ZERO = Q(0)
 _ONE = Q(1)

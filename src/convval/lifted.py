@@ -16,9 +16,8 @@ arithmetic value.
 from itertools import combinations
 
 from . import _simplex
-from ._geometry import hrep_with_vertical_ray, vertices_of_hrep
+from ._geometry import hrep_with_vertical_ray, int_solve, primitive_row, vertices_of_hrep
 from .errors import CapabilityLimit, DimensionMismatch
-from .linalg import dot, solve_square
 from .maxaffine import MAX_HULL_DIM, MaxAffineFn, extreme_indices, prune
 from .rational import Q, rat_vector
 
@@ -141,9 +140,8 @@ def conjugate_cd(g):
 
 
 def _epigraph_hrep(f):
-    """H-representation of the epigraph of f* in R^(n+1)."""
-    pts = [a + (-b,) for a, b in prune(f).pieces]
-    return hrep_with_vertical_ray(pts)
+    """H-representation of the epigraph of f* in R^(n+1), for a pruned f."""
+    return hrep_with_vertical_ray([a + (-b,) for a, b in f.pieces])
 
 
 def min_convex_hull(f, h):
@@ -156,9 +154,14 @@ def min_convex_hull(f, h):
     """
     if f.dim != h.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
-    n = f.dim
-    ineq_f, eq_f = _epigraph_hrep(f)
-    ineq_h, eq_h = _epigraph_hrep(h)
+    return _hull_of_pruned(prune(f), prune(h))
+
+
+def _hull_of_pruned(fp, hp):
+    """min_convex_hull of two pruned operands of the same dimension."""
+    n = fp.dim
+    ineq_f, eq_f = _epigraph_hrep(fp)
+    ineq_h, eq_h = _epigraph_hrep(hp)
     verts = vertices_of_hrep(ineq_f + ineq_h, eq_f + eq_h, n + 1)
     if not verts:
         return None
@@ -188,14 +191,13 @@ def _wall_hyperplanes(f, h):
 
 
 def _arrangement_vertices(walls, n):
+    rows = [primitive_row(c, r) for c, r in walls]
     points = set()
-    for comb in combinations(walls, n):
-        rows = [c for c, _ in comb]
-        rhs = [r for _, r in comb]
-        sol = solve_square(rows, rhs)
+    for comb in combinations(rows, n):
+        sol = int_solve(comb, n)
         if sol is not None:
             points.add(sol)
-    return sorted(points)
+    return sorted(tuple(Q(v, den) for v in nums) for nums, den in points)
 
 
 def is_min_convex(f, h):
@@ -209,11 +211,11 @@ def is_min_convex(f, h):
     """
     if f.dim != h.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
-    hull = min_convex_hull(f, h)
-    if hull is None:
-        return False
     fp = prune(f)
     hp = prune(h)
+    hull = _hull_of_pruned(fp, hp)
+    if hull is None:
+        return False
     union = set(fp.pieces) | set(hp.pieces)
     if any(piece not in union for piece in hull.pieces):
         return False

@@ -42,7 +42,7 @@ from .generators import (
 )
 from .io import dump_json, value_from_doc, value_to_doc, witness_doc
 from .linalg import dot, unit_vector
-from .maxaffine import MaxAffineFn, add, compose_linear, scale
+from .maxaffine import add, compose_linear, scale
 from .polytopes import (
     Polytope,
     SupportEvaluator,

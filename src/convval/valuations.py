@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, PieceBudgetExceeded
 from .linalg import RationalMatrix
-from .maxaffine import MaxAffineFn, add, compose_linear, prune, scale
+from .maxaffine import MaxAffineFn, add, compose_linear, scale
 from .rational import Q, rat, rat_vector
 
 VARIANTS = ("equivariant", "contravariant-2d", "gl-endomorphism")

@@ -1,0 +1,206 @@
+"""Fraction-free vertex enumeration: solved against hand-checkable systems,
+and against the rational Gauss-Jordan enumerator it replaced on a seeded
+corpus of lifted epigraph pairs."""
+
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from convval import MaxAffineFn, Q, is_min_convex, min_convex_hull, prune
+from convval import _geometry, lifted
+from convval._geometry import int_solve, primitive_row, vertices_of_hrep
+from convval.errors import CapabilityLimit
+from convval.generators import rand_rational, rng_for
+from convval.linalg import dot, matrix_rank, solve_square
+
+from conftest import eval_all_pieces, grid_points
+
+
+def test_int_solve_lowest_terms_positive_denominator():
+    # 2x + 4y = 3, 6x - 2y = -1: x = 1/14, y = 5/7 = 10/14.
+    rows = [primitive_row((Q(2), Q(4)), Q(3)), primitive_row((Q(6), Q(-2)), Q(-1))]
+    assert int_solve(rows, 2) == ((1, 10), 14)
+    # A negative final pivot still gives a positive denominator.
+    assert int_solve([(-3, 1)], 1) == ((-1,), 3)
+
+
+def test_int_solve_rank_and_consistency():
+    assert int_solve([(1, 2, 1), (2, 4, 2)], 2) is None
+    # Overdetermined but consistent: x = 1, y = 2, x + y = 3.
+    assert int_solve([(1, 0, 1), (0, 1, 2), (1, 1, 3)], 2) == ((1, 2), 1)
+    assert int_solve([(1, 0, 1), (0, 1, 2), (1, 1, 4)], 2) is None
+
+
+def test_primitive_row_keeps_direction():
+    assert primitive_row((Q(-1, 2), Q(3, 4)), Q(-1, 6)) == (-6, 9, -2)
+    assert primitive_row((Q(0), Q(0)), Q(0)) == (0, 0, 0)
+
+
+def test_vertices_of_unit_square():
+    ineqs = [((Q(1), Q(0)), Q(1)), ((Q(-1), Q(0)), Q(0)),
+             ((Q(0), Q(1)), Q(1)), ((Q(0), Q(-1)), Q(0)), ((Q(1), Q(1)), Q(2))]
+    verts = vertices_of_hrep(ineqs, [], 2)
+    assert verts == [(Q(0), Q(0)), (Q(0), Q(1)), (Q(1), Q(0)), (Q(1), Q(1))]
+    assert all(type(v) is type(Q(0)) for p in verts for v in p)
+
+
+def test_size_budget_raises_before_enumerating(monkeypatch):
+    def refuse(rows, d):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(_geometry, "int_solve", refuse)
+    ineqs = [((Q(k), Q(1), Q(0)), Q(k)) for k in range(200)]
+    count = 200 * 199 * 198 // 6
+    assert count > _geometry.MAX_HREP_CANDIDATES
+    with pytest.raises(CapabilityLimit, match=str(count)):
+        vertices_of_hrep(ineqs, [], 3)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the rational Gauss-Jordan enumerator that the integer
+# kernel replaced, with its code unchanged.
+
+
+def _solve_full_rank(rows, rhs, d):
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    rank = 0
+    for col in range(d):
+        piv = None
+        for r in range(rank, len(aug)):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return None
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = Q(1) / aug[rank][col]
+        aug[rank] = [v * inv for v in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
+        rank += 1
+    for r in range(rank, len(aug)):
+        if aug[r][-1] != 0:
+            return None
+    return tuple(aug[i][-1] for i in range(d))
+
+
+def _oracle_vertices(ineqs, eqs, d):
+    eq_rows = [list(c) for c, _ in eqs]
+    eq_rank = matrix_rank(eq_rows) if eq_rows else 0
+    need = d - eq_rank
+    if need < 0:
+        return []
+    verts = set()
+    for subset in combinations(range(len(ineqs)), need):
+        rows = [c for c, _ in eqs] + [ineqs[i][0] for i in subset]
+        rhs = [b for _, b in eqs] + [ineqs[i][1] for i in subset]
+        point = _solve_full_rank(rows, rhs, d)
+        if point is None:
+            continue
+        ok = True
+        for coeffs, bound in ineqs:
+            if dot(coeffs, point) > bound:
+                ok = False
+                break
+        if ok:
+            for coeffs, bound in eqs:
+                if dot(coeffs, point) != bound:
+                    ok = False
+                    break
+        if ok:
+            verts.add(point)
+    return sorted(verts)
+
+
+def _rand_fn(rng, dim, count, line):
+    """Random function; with line, its slopes lie on one line (collinear)."""
+    if line:
+        base = tuple(rand_rational(rng, -3, 3, 2) for _ in range(dim))
+        step = tuple(rand_rational(rng, -3, 3, 2) for _ in range(dim))
+        slopes = [tuple(b + Q(rng.randint(-2, 2)) * s for b, s in zip(base, step))
+                  for _ in range(count)]
+    else:
+        slopes = [tuple(rand_rational(rng, -4, 4, 3) for _ in range(dim)) for _ in range(count)]
+    return MaxAffineFn(dim, [(a, rand_rational(rng, -6, 6, 4)) for a in slopes])
+
+
+def _pair(seed, i):
+    """Pruned operands: dims 1-3, some with collinear slopes, some sharing
+    pieces, some translates of each other."""
+    rng = rng_for(seed, "hrep-pair", i)
+    dim = 1 + i % 3
+    top = (4, 3, 3)[dim - 1]
+    f = _rand_fn(rng, dim, rng.randint(1, top), rng.random() < 0.25)
+    mode = rng.random()
+    if mode < 0.15:
+        h = f.offset(rand_rational(rng, 0, 3))
+    elif mode < 0.35:
+        h = MaxAffineFn(dim, list(f.pieces[:2]) + list(_rand_fn(rng, dim, 2, False).pieces))
+    else:
+        h = _rand_fn(rng, dim, rng.randint(1, top), rng.random() < 0.25)
+    return prune(f), prune(h)
+
+
+def test_vertices_of_hrep_matches_rational_enumerator_on_epigraph_pairs():
+    seen = Counter()
+    for i in range(2000):
+        fp, hp = _pair(11, i)
+        ineq_f, eq_f = lifted._epigraph_hrep(fp)
+        ineq_h, eq_h = lifted._epigraph_hrep(hp)
+        ineqs, eqs, d = ineq_f + ineq_h, eq_f + eq_h, fp.dim + 1
+        got = vertices_of_hrep(ineqs, eqs, d)
+        assert got == _oracle_vertices(ineqs, eqs, d), (i, fp, hp)
+        assert all(type(v) is type(Q(0)) for p in got for v in p)
+        seen[f"dim-{fp.dim}"] += 1
+        seen["eqs"] += bool(eqs)
+        seen["single-piece"] += len(fp.pieces) == 1 or len(hp.pieces) == 1
+        seen["empty"] += not got
+        seen["repeated-rows"] += len(set(ineqs)) < len(ineqs)
+        seen["vertices"] += len(got)
+    for key in ("dim-1", "dim-2", "dim-3", "eqs", "single-piece", "empty", "repeated-rows"):
+        assert seen[key] >= 20, (key, seen)
+    assert seen["vertices"] >= 2000, seen
+
+
+def _oracle_arrangement(walls, n):
+    points = set()
+    for comb in combinations(walls, n):
+        sol = solve_square([c for c, _ in comb], [r for _, r in comb])
+        if sol is not None:
+            points.add(sol)
+    return sorted(points)
+
+
+def test_arrangement_vertices_match_rational_solve():
+    checked = 0
+    for i in range(300):
+        fp, hp = _pair(12, i)
+        walls = lifted._wall_hyperplanes(fp, hp)
+        got = lifted._arrangement_vertices(walls, fp.dim)
+        assert got == _oracle_arrangement(walls, fp.dim), (i, fp, hp)
+        checked += len(got)
+    assert checked >= 300
+
+
+def test_min_convex_hull_below_min_on_grid():
+    hits = Counter()
+    for i in range(60):
+        fp, hp = _pair(13, i)
+        if fp.dim == 3:
+            continue
+        hull = min_convex_hull(fp, hp)
+        if hull is None:
+            hits["no-minorant"] += 1
+            continue
+        convex = is_min_convex(fp, hp)
+        hits[convex] += 1
+        for x in grid_points(fp.dim, 2, 2):
+            low = min(eval_all_pieces(fp.pieces, x), eval_all_pieces(hp.pieces, x))
+            value = eval_all_pieces(hull.pieces, x)
+            assert value <= low, (i, x)
+            if convex:
+                assert value == low, (i, x)
+    assert hits[True] and hits[False] and hits["no-minorant"], hits
