@@ -179,11 +179,15 @@ def valuation_identity_check(mu, f, h=None, fmax=None, fmin=None):
     if fmax is None:
         fmax = max_of(f, h)
     if fmin is None:
-        from .lifted import is_min_convex, min_convex_hull
+        from .lifted import _hull_of_pruned, _is_min_convex_pruned
 
-        if not is_min_convex(f, h):
+        if f.dim != h.dim:
+            raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
+        fp = prune(f)
+        hp = prune(h)
+        fmin = _hull_of_pruned(fp, hp)
+        if not _is_min_convex_pruned(fp, hp, fmin):
             raise ValueError("min{f, h} is not convex; the identity is not applicable")
-        fmin = min_convex_hull(f, h)
     lhs = mu(fmax) + mu(fmin)
     rhs = mu(f) + mu(h)
     return lhs == rhs, lhs, rhs, {"max": mu(fmax), "min": mu(fmin), "f": mu(f), "h": mu(h)}

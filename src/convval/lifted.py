@@ -213,13 +213,17 @@ def is_min_convex(f, h):
         raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
     fp = prune(f)
     hp = prune(h)
-    hull = _hull_of_pruned(fp, hp)
+    return _is_min_convex_pruned(fp, hp, _hull_of_pruned(fp, hp))
+
+
+def _is_min_convex_pruned(fp, hp, hull):
+    """is_min_convex for pruned operands, given their _hull_of_pruned."""
     if hull is None:
         return False
     union = set(fp.pieces) | set(hp.pieces)
     if any(piece not in union for piece in hull.pieces):
         return False
-    n = f.dim
+    n = fp.dim
     for x in _arrangement_vertices(_wall_hyperplanes(fp, hp), n):
         if min(fp(x), hp(x)) != hull(x):
             return False

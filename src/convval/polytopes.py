@@ -78,6 +78,11 @@ class Polytope:
 
     def support(self, u):
         """Support function value max_{v in K} <u, v>."""
+        dots, den = self._int_dots(u)
+        return Q(max(dots), den)
+
+    def _int_dots(self, u):
+        """(<u, v> * den for every vertex v, as integers; den)."""
         u = rat_vector(u)
         if len(u) != self.dim:
             raise DimensionMismatch(f"direction has length {len(u)}, expected {self.dim}")
@@ -85,7 +90,7 @@ class Polytope:
             self._cache["ints"] = int_scaled(self.vertices)
         verts, den = self._cache["ints"]
         (ui,), du = int_scaled([u])
-        return Q(max(sum(map(mul, ui, v)) for v in verts), den * du)
+        return [sum(map(mul, ui, v)) for v in verts], den * du
 
     def translate(self, z):
         z = rat_vector(z)
@@ -167,25 +172,8 @@ def facet_area_vectors(K):
     out = []
     verts = K.vertices
     for normal, support in K.facets():
-        pts = [verts[i] for i in sorted(support)]
-        if K.dim == 2:
-            d = vsub(pts[1], pts[0])
-            vec = (d[1], -d[0])
-        else:
-            k = next(j for j, v in enumerate(normal) if v != 0)
-            flat = [p[:k] + p[k + 1 :] for p in pts]
-            order = cyclic_order(flat)
-            ring = [pts[i] for i in order]
-            sx = sy = sz = _ZERO
-            for i in range(len(ring)):
-                a = ring[i]
-                b = ring[(i + 1) % len(ring)]
-                sx += a[1] * b[2] - a[2] * b[1]
-                sy += a[2] * b[0] - a[0] * b[2]
-                sz += a[0] * b[1] - a[1] * b[0]
-            vec = (sx / 2, sy / 2, sz / 2)
-        qnormal = rat_vector(normal)
-        side = dot(vec, qnormal)
+        vec = _area_vector([verts[i] for i in sorted(support)], normal)
+        side = dot(vec, rat_vector(normal))
         if side < 0:
             vec = vneg(vec)
         elif side == 0:
@@ -200,26 +188,35 @@ def _flat_area_vector(K):
     if "flat_area_vector" in K._cache:
         return K._cache["flat_area_vector"]
     verts = list(K.vertices)
-    if K.dim == 2:
-        vec = (verts[-1][1] - verts[0][1], -(verts[-1][0] - verts[0][0]))
-    else:
-        normal_dirs = [vsub(p, verts[0]) for p in verts[1:]]
-        comp = nullspace(normal_dirs, 3)
-        plane_normal = comp[0]
-        k = next(j for j, v in enumerate(plane_normal) if v != 0)
-        flat = [p[:k] + p[k + 1 :] for p in verts]
-        order = cyclic_order(flat)
-        ring = [verts[i] for i in order]
-        sx = sy = sz = _ZERO
-        for i in range(len(ring)):
-            a = ring[i]
-            b = ring[(i + 1) % len(ring)]
-            sx += a[1] * b[2] - a[2] * b[1]
-            sy += a[2] * b[0] - a[0] * b[2]
-            sz += a[0] * b[1] - a[1] * b[0]
-        vec = (sx / 2, sy / 2, sz / 2)
+    normal = None
+    if K.dim == 3:
+        normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], 3)[0]
+    vec = _area_vector(verts, normal)
     K._cache["flat_area_vector"] = vec
     return vec
+
+
+def _area_vector(pts, normal):
+    """Normal scaled by the (dim-1)-volume of a flat convex piece (sign arbitrary).
+
+    In dimension 2 the piece is the segment between pts[0] and pts[-1]; in
+    dimension 3 it is the polygon on pts, in a plane with the given normal,
+    and the vector is its shoelace sum, taken in the cyclic order of the
+    points projected along a nonzero coordinate of the normal.
+    """
+    if len(pts[0]) == 2:
+        d = vsub(pts[-1], pts[0])
+        return (d[1], -d[0])
+    k = next(j for j, v in enumerate(normal) if v != 0)
+    ring = [pts[i] for i in cyclic_order([p[:k] + p[k + 1 :] for p in pts])]
+    sx = sy = sz = _ZERO
+    for i in range(len(ring)):
+        a = ring[i]
+        b = ring[(i + 1) % len(ring)]
+        sx += a[1] * b[2] - a[2] * b[1]
+        sy += a[2] * b[0] - a[0] * b[2]
+        sz += a[0] * b[1] - a[1] * b[0]
+    return (sx / 2, sy / 2, sz / 2)
 
 
 def projection_body_support(K, u):
@@ -230,20 +227,27 @@ def projection_body_support(K, u):
     facet area vectors); it extends to all u by positive homogeneity.  Bodies
     of affine dimension dim-1 contribute twice one flat face; anything flatter
     casts a null shadow in almost every direction and yields the zero body.
+    The area vectors are cached as integers over one common denominator, so
+    a value costs integer dot products and one rational.
     """
     if K.dim not in AREA_VECTOR_DIMS:
         raise CapabilityLimit(f"projection bodies are supported in dimensions {AREA_VECTOR_DIMS}")
     u = rat_vector(u)
     if len(u) != K.dim:
         raise DimensionMismatch(f"direction has length {len(u)}, expected {K.dim}")
-    rank = K.affine_dim()
-    if rank == K.dim:
-        vectors = facet_area_vectors(K)
-        total = sum((abs(dot(u, w)) for w in vectors), _ZERO)
-        return total / 2
-    if rank == K.dim - 1:
-        return abs(dot(u, _flat_area_vector(K)))
-    return _ZERO
+    if "area_ints" not in K._cache:
+        rank = K.affine_dim()
+        if rank == K.dim:
+            K._cache["area_ints"] = int_scaled(facet_area_vectors(K))
+        elif rank == K.dim - 1:
+            flat = _flat_area_vector(K)
+            K._cache["area_ints"] = int_scaled([flat, vneg(flat)])
+        else:
+            K._cache["area_ints"] = ([], 1)
+    vectors, den = K._cache["area_ints"]
+    (ui,), du = int_scaled([u])
+    total = sum(abs(sum(map(mul, ui, w))) for w in vectors)
+    return Q(total, 2 * den * du)
 
 
 def cut_pair(P, w, t):
@@ -316,5 +320,6 @@ class SupportEvaluator:
         if self.kind == "body":
             return self.body.support(u)
         if self.kind == "difference":
-            return self.body.support(u) + self.body.support(vneg(rat_vector(u)))
+            dots, den = self.body._int_dots(u)
+            return Q(max(dots) - min(dots), den)
         return projection_body_support(self.body, u)

@@ -1,11 +1,11 @@
-"""Named property suites: deterministic, parallel, replayable.
+"""Named property suites: deterministic, replayable.
 
 Each suite expands into an indexed list of independent cases.  A case draws
 everything it needs from its own seeded stream `rng_for(seed, suite, ...)`,
-so cases can run on any schedule (a thread pool here) and the assembled
-report depends only on (suite, seed, trials).  Machine reports carry no
-timing, which keeps equal runs byte-identical; wall time is shown in the
-human format only.
+so cases can run on any schedule (here one after another) and the
+assembled report depends only on (suite, seed, trials).  Machine reports
+carry no timing, which keeps equal runs byte-identical; wall time is shown
+in the human format only.
 
 A case that is *expected* to fail (an invalid measure, a counterexample
 search) passes exactly when the failure materializes, and files the exact
@@ -14,7 +14,6 @@ witness under `exhibits` rather than `witnesses`.
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -434,18 +433,25 @@ def mc_projection_area(P, axis, samples, rng, pad=0.125):
     """
     pts = [tuple(v[j] for j in range(P.dim) if j != axis) for v in P.vertices]
     shadow = Polytope(2, pts)
-    planes = [(float(n[0]), float(n[1]), float(off)) for n, off in _polygon_halfplanes(shadow)]
+    planes = [(float(n[0]), float(n[1]), float(off) + 1e-12)
+              for n, off in _polygon_halfplanes(shadow)]
     xs = [float(p[0]) for p in pts]
     ys = [float(p[1]) for p in pts]
     lo_x, hi_x = min(xs) - pad, max(xs) + pad
     lo_y, hi_y = min(ys) - pad, max(ys) + pad
+    width = hi_x - lo_x
+    height = hi_y - lo_y
+    draw = rng.random
     hits = 0
     for _ in range(samples):
-        px = lo_x + rng.random() * (hi_x - lo_x)
-        py = lo_y + rng.random() * (hi_y - lo_y)
-        if all(a * px + b * py <= off + 1e-12 for a, b, off in planes):
+        px = lo_x + draw() * width
+        py = lo_y + draw() * height
+        for a, b, limit in planes:
+            if a * px + b * py > limit:
+                break
+        else:
             hits += 1
-    return hits / samples * (hi_x - lo_x) * (hi_y - lo_y)
+    return hits / samples * width * height
 
 
 def _classical_diff_cube_case(seed, dim):
@@ -687,13 +693,7 @@ def run_suite(name, seed, trials=None):
         raise ValueError("trials must be nonnegative")
     start = time.perf_counter()
     builders = _BUILDERS[name](seed, trials)
-    results = [None] * len(builders)
-    if builders:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_run_case, i, nm, th) for i, (nm, th) in enumerate(builders)]
-            for fut in futures:
-                res = fut.result()
-                results[res.index] = res
+    results = [_run_case(i, nm, th) for i, (nm, th) in enumerate(builders)]
     wall = time.perf_counter() - start
     passes = sum(1 for r in results if r.ok)
     witnesses = []

@@ -146,6 +146,31 @@ def test_identity_check_accepts_raw_pair_when_min_convex():
     assert ok
 
 
+def test_identity_check_builds_the_hull_once(monkeypatch):
+    from convval import analysis, lifted
+
+    calls = {"hull": 0, "prune": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lifted, "vertices_of_hrep", counted("hull", lifted.vertices_of_hrep))
+    monkeypatch.setattr(lifted, "prune", counted("prune", lifted.prune))
+    monkeypatch.setattr(analysis, "prune", counted("prune", analysis.prune))
+    mu = ScalarValuation.from_valuation_spec(diff_spec(2), (Q(1), Q(1)))
+    f = mf(2, ((1, 0), -1), ((0, 0), 0))
+    h = mf(2, ((-1, 0), 1), ((0, 0), 0))
+    ok, _, _, parts = valuation_identity_check(mu, f, h)
+    # Each operand is pruned once, and the hull is built and pruned once.
+    assert calls == {"hull": 1, "prune": 3}
+    assert ok
+    assert parts["min"] == mu(lifted.min_convex_hull(f, h))
+
+
 def test_identity_check_rejects_nonconvex_min():
     mu = ScalarValuation(lambda f: f((Q(0),)), degree_bound=1)
     f = mf(1, ((1,), 0), ((-1,), 0))

@@ -45,6 +45,19 @@ def test_vertices_of_unit_square():
     assert all(type(v) is type(Q(0)) for p in verts for v in p)
 
 
+def test_facet_budget_raises_before_enumerating(monkeypatch):
+    def refuse(vectors, d):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(_geometry, "_cross_normal", refuse)
+    monkeypatch.setattr(_geometry, "int_scaled", refuse)
+    points = [(Q(k), Q(k * k), Q(k * k * k)) for k in range(120)]
+    count = 120 * 119 * 118 // 6
+    assert count > _geometry.MAX_FACET_CANDIDATES
+    with pytest.raises(CapabilityLimit, match=str(count)):
+        _geometry.facet_enum(points, 3)
+
+
 def test_size_budget_raises_before_enumerating(monkeypatch):
     def refuse(rows, d):
         raise AssertionError("enumerated")

@@ -1,26 +1,32 @@
 """Integer fast paths against the plain Fraction formulas they replace.
 
-`MaxAffineFn.evaluate` and `Polytope.support` work on integer images of the
-coefficients; `extreme_indices` runs its certificates and LP rows on points
-scaled to integers.  Here each is compared with the rational formula (and
-with the conftest oracles) over seeded inputs: dimensions 1-4, non-integer
-points, tied certificate maxima, duplicate slopes, lower-rank sets and
-single points.  For the filter the reference is the rational filter itself,
+`MaxAffineFn.evaluate`, `Polytope.support`, the difference-body support and
+`projection_body_support` work on integer images of the coefficients;
+`extreme_indices` runs its certificates and LP rows on points scaled to
+integers.  Here each is compared with the rational formula (and with the
+conftest oracles) over seeded inputs: dimensions 1-4, non-integer points,
+tied certificate maxima, duplicate slopes, lower-rank sets and single
+points.  The Monte Carlo shadow estimate is compared with the plain loop it
+replaced, which must count the same hits from the same stream.  For the filter the reference is the rational filter itself,
 with every LP it solves logged, so the test also pins down that the same
 points reach the same LPs, row for row up to the common scale.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from convval import MaxAffineFn, Polytope, Q
+from convval import MaxAffineFn, Polytope, Q, SupportEvaluator, projection_body_support
 from convval import _simplex
-from convval.linalg import dot
+from convval.generators import rand_polytope, rng_for
+from convval.linalg import dot, unit_vector
 from convval.maxaffine import _certify_directions, extreme_indices
+from convval.polytopes import _flat_area_vector, facet_area_vectors
+from convval.suites import _polygon_halfplanes, mc_projection_area
 
-from conftest import affinely_spans, eval_all_pieces, in_hull_caratheodory
+from conftest import affinely_spans, eval_all_pieces, in_hull_caratheodory, shoelace_area
 
 _ONE = Q(1)
 _FEASIBLE_EQ = _simplex.feasible_eq
@@ -245,3 +251,144 @@ def test_lifted_filter_keeps_the_lowest_of_equal_slopes(monkeypatch):
     pts = sorted((Q(a), Q(t)) for a, t in [(0, 0), (0, 1), (0, -2), (1, 5), (1, 3), (-1, 4)])
     got = assert_same_filter(pts, True, monkeypatch)
     assert [pts[i] for i in got] == [(-1, 4), (0, -2), (1, 3)]
+
+
+# -- projection and difference bodies -----------------------------------
+
+
+def body_cases(dim, rng):
+    """Bodies of every affine rank in dim, from non-integer points."""
+    yield Polytope(dim, [rpoint(rng, dim)])
+    a, b = rpoint(rng, dim), rpoint(rng, dim)
+    while a == b:
+        b = rpoint(rng, dim)
+    yield Polytope(dim, [a, b, tuple((p + 2 * q) / 3 for p, q in zip(a, b))])
+    if dim == 3:
+        for _ in range(4):
+            base = [rpoint(rng, 3) for _ in range(3)]
+            if not affinely_spans(base, 2):
+                continue
+            pts = [tuple(p + s * (q - p) + t * (r - p) for p, q, r in zip(*base))
+                   for s, t in [(rq(rng, 3, 3), rq(rng, 3, 3)) for _ in range(5)]]
+            yield Polytope(3, base + pts)
+    for _ in range(8):
+        pts = [rpoint(rng, dim) for _ in range(dim + 1 + rng.randint(0, 6))]
+        if affinely_spans(pts, dim):
+            yield Polytope(dim, pts)
+
+
+def projection_formula(K, u):
+    """Cauchy's formula over the rational area vectors."""
+    rank = K.affine_dim()
+    if rank == K.dim:
+        return sum((abs(dot(u, w)) for w in facet_area_vectors(K)), Q(0)) / 2
+    if rank == K.dim - 1:
+        return abs(dot(u, _flat_area_vector(K)))
+    return Q(0)
+
+
+def axis_shadow(K, axis):
+    """(dim-1)-volume of K's shadow beside one axis, from its vertices."""
+    pts = [v[:axis] + v[axis + 1 :] for v in K.vertices]
+    if K.dim == 2:
+        return max(pts)[0] - min(pts)[0]
+    return shoelace_area(list(Polytope(2, pts).vertices))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_projection_body_support_matches_fraction_formula(dim):
+    rng = random.Random(7600 + dim)
+    ranks = set()
+    for K in body_cases(dim, rng):
+        ranks.add(K.affine_dim())
+        for _ in range(10):
+            u = rpoint(rng, dim, 9, 7)
+            got = projection_body_support(K, u)
+            assert type(got) is Q
+            assert got == projection_formula(K, u)
+        for axis in range(dim):
+            got = projection_body_support(K, unit_vector(dim, axis))
+            assert type(got) is Q
+            assert got == axis_shadow(K, axis)
+        assert projection_body_support(K, (0,) * dim) == 0
+    assert ranks == set(range(dim + 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_difference_support_matches_two_supports(dim):
+    rng = random.Random(7700 + dim)
+    for K in support_cases(dim, rng):
+        ev = SupportEvaluator.of_difference(K)
+        for _ in range(10):
+            u = rpoint(rng, dim, 9, 7)
+            got = ev.value(u)
+            assert type(got) is Q
+            assert got == max(dot(u, v) for v in K.vertices) + max(-dot(u, v) for v in K.vertices)
+            assert got == K.support(u) + K.support(tuple(-x for x in u))
+
+
+# -- the Monte Carlo shadow oracle --------------------------------------
+
+
+def reference_mc(P, axis, samples, rng, pad=0.125):
+    """The loop mc_projection_area replaced: all() over the planes per sample."""
+    pts = [tuple(v[j] for j in range(P.dim) if j != axis) for v in P.vertices]
+    shadow = Polytope(2, pts)
+    planes = [(float(n[0]), float(n[1]), float(off)) for n, off in _polygon_halfplanes(shadow)]
+    xs = [float(p[0]) for p in pts]
+    ys = [float(p[1]) for p in pts]
+    lo_x, hi_x = min(xs) - pad, max(xs) + pad
+    lo_y, hi_y = min(ys) - pad, max(ys) + pad
+    hits = 0
+    for _ in range(samples):
+        px = lo_x + rng.random() * (hi_x - lo_x)
+        py = lo_y + rng.random() * (hi_y - lo_y)
+        if all(a * px + b * py <= off + 1e-12 for a, b, off in planes):
+            hits += 1
+    return hits / samples * (hi_x - lo_x) * (hi_y - lo_y)
+
+
+def test_mc_projection_area_matches_reference_loop():
+    rng = rng_for(7800, "mc-bodies")
+    for k in range(6):
+        P = rand_polytope(rng, 3)
+        for axis in range(3):
+            path = f"mc/{k}/{axis}"
+            got = mc_projection_area(P, axis, 3000, random.Random(path))
+            assert got == reference_mc(P, axis, 3000, random.Random(path))
+            assert got > 0
+
+
+class Replay:
+    """A stream of chosen values in [0, 1) in place of random.Random."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def draw_past(edge, lo, width, step):
+    """The draw r nearest the edge with lo + r * width strictly past it."""
+    r = (edge - lo) / width
+    while (lo + r * width - edge) * step <= 0:
+        r = math.nextafter(r, step)
+    assert abs(lo + r * width - edge) < 1e-15
+    return r
+
+
+def test_mc_projection_area_keeps_the_boundary_tolerance():
+    # Samples one float step outside each side of the unit square shadow,
+    # well inside the 1e-12 tolerance: the old loop counts all of them.
+    cube = Polytope(3, list(itertools.product((0, 1), repeat=3)))
+    lo, width = -0.125, 1.25
+    draws = []
+    for edge, step in [(0.0, -1.0), (1.0, 1.0)]:
+        outside = draw_past(edge, lo, width, step)
+        draws += [outside, 0.5, 0.5, outside]
+    draws += [0.99, 0.5]  # well outside: a miss
+    samples = len(draws) // 2
+    got = mc_projection_area(cube, 0, samples, Replay(draws))
+    assert got == reference_mc(cube, 0, samples, Replay(draws))
+    assert got == 4 / samples * width * width
