@@ -3,10 +3,12 @@
 Everything operates on tuples of rationals.  Predicates (hyperplane sides,
 determinant signs) run on integer-rescaled copies of the input so the inner
 loops stay in machine-friendly integer arithmetic; measured quantities
-(volumes, area vectors) are returned in the original coordinates.  Vertex
+(volumes, area vectors) are returned in the original coordinates.  Every
+elimination (determinants, the chart's basis and coordinate rows, candidate
+vertex systems) is the one fraction-free kernel, linalg.int_rref.  Vertex
 enumeration is fraction-free from start to finish: each row is scaled once
-to a primitive integer row, every candidate system is solved by Bareiss
-elimination, and only the accepted vertices are turned into rationals.
+to a primitive integer row, every candidate system is solved by int_solve,
+and only the accepted vertices are turned into rationals.
 
 The algorithms are exhaustive rather than incremental: supporting-hyperplane
 search over point subsets for facets, recursive facet pyramids for volume,
@@ -21,59 +23,38 @@ from itertools import combinations
 from operator import mul
 
 from .errors import CapabilityLimit
-from .linalg import dot, matrix_rank, nullspace, vsub
+from .linalg import (dot, int_rref, int_scaled, matrix_rank, nullspace, pivot_columns,
+                     solve_square, vsub)
 from .rational import Q
 
 _ZERO = Q(0)
 _ONE = Q(1)
 
 
-def int_scaled(points):
-    """Rescale rational points to integer tuples by the common denominator."""
-    denom = 1
-    for p in points:
-        for v in p:
-            d = int(v.denominator)
-            if d != 1:
-                denom = math.lcm(denom, d)
-    scaled = [tuple([int(v.numerator) * (denom // int(v.denominator)) for v in p]) for p in points]
-    return scaled, denom
-
-
 def int_det(rows):
-    """Determinant of a small integer matrix (fraction-free Bareiss)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a small square integer matrix."""
+    n = len(rows)
+    pivots, _, den, sign = int_rref(rows, n)
+    return sign * den if len(pivots) == n else 0
 
 
 def _cross_normal(vectors, d):
-    """Integer normal orthogonal to d-1 integer vectors in Z^d, or None."""
-    normal = []
-    for k in range(d):
-        minor = [[vec[j] for j in range(d) if j != k] for vec in vectors]
-        normal.append((-1) ** k * int_det(minor))
-    if all(v == 0 for v in normal):
+    """Integer normal orthogonal to d-1 integer vectors in Z^d, or None.
+
+    The cofactor vector (entry k is (-1)^k times the minor without column k)
+    from one reduction.  With the vectors independent there is one free
+    column fc; the minor without it is sign * den, and the cofactor vector
+    is that multiple of the nullspace vector the reduced rows give.
+    """
+    pivots, rows, den, sign = int_rref(vectors, d)
+    if len(pivots) < d - 1:
         return None
+    fc = next(c for c in range(d) if c not in pivots)
+    s = -sign if fc % 2 else sign
+    normal = [0] * d
+    normal[fc] = s * den
+    for row, pc in zip(rows, pivots):
+        normal[pc] = -s * row[fc]
     return tuple(normal)
 
 
@@ -251,39 +232,15 @@ class Chart:
         self.origin = points[0]
         d = len(self.origin)
         dirs = [vsub(p, self.origin) for p in points[1:]] + [tuple(r) for r in rays]
-        basis = []
-        reduced = []
-        for vec in dirs:
-            work = list(vec)
-            for red in reduced:
-                lead = next(j for j, v in enumerate(red) if v != 0)
-                if work[lead] != 0:
-                    f = work[lead] / red[lead]
-                    work = [w - f * r for w, r in zip(work, red)]
-            if any(v != 0 for v in work):
-                basis.append(vec)
-                reduced.append(tuple(work))
-        self.basis = basis
-        self.dim = len(basis)
+        # Independent directions, then coordinate rows of the basis matrix
+        # (an exact left inverse for consistent systems): pivot columns.
+        self.basis = [dirs[c] for c in pivot_columns(list(zip(*dirs)), len(dirs))]
+        self.dim = len(self.basis)
         self.ambient_dim = d
-        # Independent coordinate rows of the basis matrix give an exact
-        # left inverse for consistent systems.
-        rows = [[basis[b][j] for b in range(self.dim)] for j in range(d)]
-        chosen = []
-        seen = []
-        for j in range(d):
-            trial = seen + [rows[j]]
-            if matrix_rank(trial) > len(seen):
-                seen = trial
-                chosen.append(j)
-            if len(chosen) == self.dim:
-                break
-        self.rows_used = chosen
-        self._square = [rows[j] for j in chosen]
+        self.rows_used = pivot_columns(self.basis, d)
+        self._square = [[vec[j] for vec in self.basis] for j in self.rows_used]
 
     def coords_of_direction(self, vec):
-        from .linalg import solve_square
-
         rhs = [vec[j] for j in self.rows_used]
         sol = solve_square(self._square, rhs)
         if sol is None:
@@ -302,8 +259,6 @@ class Chart:
 
     def lift_inequality(self, coeffs, rhs):
         """Chart-space <coeffs, xi> <= rhs to an ambient inequality."""
-        from .linalg import solve_square
-
         # Solve square^T y = coeffs, then scatter y onto the used rows.
         square_t = [[self._square[r][c] for r in range(self.dim)] for c in range(self.dim)]
         y = solve_square(square_t, list(coeffs))
@@ -408,40 +363,21 @@ def primitive_row(coeffs, rhs):
 def int_solve(rows, d):
     """Unique solution of the integer system [a | b] (a.x = b) in d unknowns.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): after k pivots
-    every entry is a (k+1)-minor of the input, so each division by the
-    previous pivot is exact, and every pivot row ends with the same diagonal
-    entry, the last pivot.  Returns (nums, den) in lowest terms with den > 0,
-    the point nums / den, or None when the rows have rank below d or the
-    system is inconsistent.
+    The reduced right-hand sides over the last pivot (int_rref) are the
+    solution.  Returns (nums, den) in lowest terms with den > 0, the point
+    nums / den, or None when the rows have rank below d or the system is
+    inconsistent.
     """
-    work = list(rows)
-    prev = 1
-    for col in range(d):
-        for piv in range(col, len(work)):
-            if work[piv][col]:
-                break
-        else:
-            return None
-        prow = work[piv]
-        work[piv] = work[col]
-        work[col] = prow
-        p = prow[col]
-        for r, row in enumerate(work):
-            if r != col:
-                f = row[col]
-                work[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
-    for row in work[d:]:
-        if row[d]:
-            return None
-    nums = [work[i][d] for i in range(d)]
-    g = math.gcd(prev, *nums)
-    if prev < 0:
+    pivots, work, den, _ = int_rref(rows, d)
+    if len(pivots) < d or any(row[d] for row in work[d:]):
+        return None
+    nums = [row[d] for row in work[:d]]
+    g = math.gcd(den, *nums)
+    if den < 0:
         g = -g
     if g != 1:
         nums = [v // g for v in nums]
-    return tuple(nums), prev // g
+    return tuple(nums), den // g
 
 
 # Most active sets vertices_of_hrep will enumerate (a few seconds of work).

@@ -18,7 +18,7 @@ Standard form: minimize c.x subject to A x = b, x >= 0.
 
 from math import gcd, lcm
 
-from ._geometry import int_scaled
+from .linalg import int_scaled
 from .rational import Q
 
 OPTIMAL = "optimal"

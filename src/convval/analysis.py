@@ -188,9 +188,10 @@ def valuation_identity_check(mu, f, h=None, fmax=None, fmin=None):
         fmin = _hull_of_pruned(fp, hp)
         if not _is_min_convex_pruned(fp, hp, fmin):
             raise ValueError("min{f, h} is not convex; the identity is not applicable")
-    lhs = mu(fmax) + mu(fmin)
-    rhs = mu(f) + mu(h)
-    return lhs == rhs, lhs, rhs, {"max": mu(fmax), "min": mu(fmin), "f": mu(f), "h": mu(h)}
+    parts = {"max": mu(fmax), "min": mu(fmin), "f": mu(f), "h": mu(h)}
+    lhs = parts["max"] + parts["min"]
+    rhs = parts["f"] + parts["h"]
+    return lhs == rhs, lhs, rhs, parts
 
 
 def find_strict_majorant(f, probes, rng=None):

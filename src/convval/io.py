@@ -9,7 +9,7 @@ polytopes, and so on); witness documents tag every embedded object with a
 
 import json
 
-from .errors import ParseError
+from .errors import CapabilityLimit, ParseError
 from .linalg import RationalMatrix
 from .lifted import LiftedPolytope, POS_INF
 from .maxaffine import MaxAffineFn
@@ -100,7 +100,12 @@ def polytope_from_doc(doc, where="polytope"):
         verts = _points_parse(doc["vertices"], dim, f"{where}.vertices")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polytope document: {exc}", where)
-    return Polytope(dim, verts)
+    try:
+        return Polytope(dim, verts)
+    except CapabilityLimit:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), where)
 
 
 def lifted_to_doc(g):
@@ -113,7 +118,12 @@ def lifted_from_doc(doc, where="lifted"):
         verts = _points_parse(doc["lifted_vertices"], dim + 1, f"{where}.lifted_vertices")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lifted polytope document: {exc}", where)
-    return LiftedPolytope(dim, verts)
+    try:
+        return LiftedPolytope(dim, verts)
+    except CapabilityLimit:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), where)
 
 
 def matrix_to_doc(g):

@@ -2,9 +2,12 @@
 
 Vectors are plain tuples of rationals; matrices are immutable row-major
 tuples.  Everything here is exact and sized for ambient dimensions up to
-five (lifted coordinates included), so plain Gaussian elimination is the
-right tool throughout.
+five (lifted coordinates included).  Every elimination in the package goes
+through one fraction-free routine, int_rref: rational rows are scaled to
+integers, reduced, and only the answers become rationals again.
 """
+
+import math
 
 from .errors import DimensionMismatch
 from .rational import Q, rat, rat_vector
@@ -48,85 +51,97 @@ def unit_vector(n, k):
     return tuple(_ONE if i == k else _ZERO for i in range(n))
 
 
+def int_scaled(points):
+    """Rescale rational points to integer tuples by the common denominator."""
+    denom = 1
+    for p in points:
+        for v in p:
+            d = int(v.denominator)
+            if d != 1:
+                denom = math.lcm(denom, d)
+    scaled = [tuple([int(v.numerator) * (denom // int(v.denominator)) for v in p]) for p in points]
+    return scaled, denom
+
+
+def int_rref(rows, ncols):
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Gauss-Jordan elimination with exact division by the previous pivot
+    (Bareiss 1968): every entry stays a minor of the input, so no rational
+    is ever formed.  Pivots are sought left to right in the first ncols
+    columns, skipping a column with no nonzero entry left to pivot on;
+    further columns (a right-hand side) are carried along.  Returns
+    (pivots, rows, den, sign): the pivot columns; the reduced rows, of which
+    the first len(pivots) divided by den are the reduced row echelon form
+    and the rest are zero in the first ncols columns; den, the last pivot
+    (1 if none); and sign, the parity of the row swaps.  For a square
+    matrix of full rank, sign * den is the determinant.
+    """
+    work = list(rows)
+    pivots = []
+    den = 1
+    sign = 1
+    for col in range(ncols):
+        k = len(pivots)
+        for piv in range(k, len(work)):
+            if work[piv][col]:
+                break
+        else:
+            continue
+        prow = work[piv]
+        if piv != k:
+            work[piv] = work[k]
+            work[k] = prow
+            sign = -sign
+        p = prow[col]
+        for r, row in enumerate(work):
+            if r != k:
+                f = row[col]
+                work[r] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+        den = p
+        pivots.append(col)
+    return pivots, work, den, sign
+
+
+def _int_rows(rows):
+    """Each rational row times the lcm of its denominators, and those lcms."""
+    scaled = [int_scaled([row]) for row in rows]
+    return [ints for (ints,), _ in scaled], [s for _, s in scaled]
+
+
+def pivot_columns(rows, ncols):
+    """The pivot columns of a rational matrix: in order, each column that is
+    independent of the columns before it."""
+    return int_rref(_int_rows(rows)[0], ncols)[0]
+
+
 def solve_square(rows, rhs):
     """Solve a square rational system; returns None when singular."""
     n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][-1] for i in range(n))
+    aug, _ = _int_rows([*row, b] for row, b in zip(rows, rhs))
+    pivots, work, den, _ = int_rref(aug, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Q(row[-1], den) for row in work)
 
 
 def matrix_rank(rows):
     """Rank of a rational matrix given as an iterable of row tuples."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = _ONE / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    ints, _ = _int_rows(rows)
+    return len(int_rref(ints, len(ints[0]))[0]) if ints else 0
 
 
 def nullspace(rows, ncols):
     """Basis of {x : R x = 0} for the given rows, as a list of tuples."""
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = _ONE / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, work, den, _ = int_rref(_int_rows(rows)[0], ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [_ZERO] * ncols
         vec[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+        for row, pc in zip(work, pivots):
+            vec[pc] = Q(-row[fc], den)
         basis.append(tuple(vec))
     return basis
 
@@ -178,27 +193,9 @@ class RationalMatrix:
 
     def det(self):
         if self._det is None:
-            n = self.dim
-            work = [list(r) for r in self.rows]
-            d = _ONE
-            for col in range(n):
-                piv = None
-                for r in range(col, n):
-                    if work[r][col] != 0:
-                        piv = r
-                        break
-                if piv is None:
-                    d = _ZERO
-                    break
-                if piv != col:
-                    work[col], work[piv] = work[piv], work[col]
-                    d = -d
-                d = d * work[col][col]
-                inv = _ONE / work[col][col]
-                for r in range(col + 1, n):
-                    if work[r][col] != 0:
-                        f = work[r][col] * inv
-                        work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+            ints, scales = _int_rows(self.rows)
+            pivots, _, den, sign = int_rref(ints, self.dim)
+            d = Q(sign * den, math.prod(scales)) if len(pivots) == self.dim else _ZERO
             object.__setattr__(self, "_det", d)
         return self._det
 
@@ -212,24 +209,15 @@ class RationalMatrix:
         return RationalMatrix(tuple(zip(*self.rows)))
 
     def inverse(self):
+        """Reduces [S A | S], with S the diagonal of the integer row scales."""
         n = self.dim
-        aug = [list(self.rows[i]) + list(unit_vector(n, i)) for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if aug[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = _ONE / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return RationalMatrix(tuple(tuple(aug[i][n:]) for i in range(n)))
+        ints, scales = _int_rows(self.rows)
+        aug = [(*row, *(s if j == i else 0 for j in range(n)))
+               for i, (row, s) in enumerate(zip(ints, scales))]
+        pivots, work, den, _ = int_rref(aug, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        return RationalMatrix(tuple(tuple(Q(v, den) for v in row[n:]) for row in work))
 
     def inverse_transpose(self):
         return self.inverse().transpose()

@@ -18,9 +18,8 @@ from functools import lru_cache
 from operator import mul
 
 from . import _simplex
-from ._geometry import int_scaled
 from .errors import CapabilityLimit, DimensionMismatch
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, int_scaled
 from .rational import Q, rat, rat_vector
 
 MAX_HULL_DIM = 4

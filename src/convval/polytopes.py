@@ -14,9 +14,9 @@ identity checks cheap and independent of hull enumeration.
 from itertools import combinations
 from operator import mul
 
-from ._geometry import affine_rank, cyclic_order, facet_enum, int_scaled, volume as _hull_volume
+from ._geometry import affine_rank, cyclic_order, facet_enum, volume as _hull_volume
 from .errors import CapabilityLimit, DimensionMismatch
-from .linalg import dot, nullspace, vadd, vneg, vsub
+from .linalg import dot, int_scaled, nullspace, vadd, vneg, vsub
 from .maxaffine import extreme_indices
 from .rational import Q, rat, rat_vector
 

@@ -25,6 +25,7 @@ from .analysis import (
     polarize,
     valuation_identity_check,
 )
+from .errors import ParseError
 from .generators import (
     paraboloid_tangents,
     rand_affine,
@@ -926,9 +927,12 @@ def replay_witness(doc):
     recorded ones exactly (after identical serialization).
     """
     check = doc.get("check")
+    if check == "case-error":
+        raise ParseError("a case-error witness records an exception, not a comparison; "
+                         "it is not replayable", "check")
     rule = _REPLAY.get(check)
     if rule is None:
-        raise ValueError(f"no replay rule for check {check!r}")
+        raise ParseError(f"no replay rule for check {check!r}", "check")
     inputs = {k: value_from_doc(v, where=f"inputs.{k}") for k, v in doc.get("inputs", {}).items()}
     lhs, rhs = rule(inputs)
     lhs_doc = value_to_doc(lhs)

@@ -3,13 +3,16 @@
 Exact-arithmetic oracles live here so the tests that use them stay short:
 a brute-force grid evaluator for max-affine functions, a shoelace area
 oracle, and a Caratheodory-style extremality oracle that decides hull
-membership with determinants instead of the production LP route.
+membership with determinants instead of the production LP route.  Rank and
+solving come from the reference eliminations in elim_reference.py, not from
+convval.linalg.
 """
 
 import itertools
 
 from convval import MaxAffineFn, Q
 from convval.linalg import dot
+from elim_reference import matrix_rank, solve_square
 
 
 def grid_points(dim, radius=3, den=1):
@@ -33,8 +36,6 @@ def same_function_on_grid(f, pieces, radius=3, den=2):
 
 def affinely_spans(points, dim):
     """True when the points affinely span dimension dim (rank check)."""
-    from convval.linalg import matrix_rank
-
     if not points:
         return dim == 0
     base = points[0]
@@ -51,8 +52,6 @@ def in_hull_caratheodory(point, generators, dim):
     nonnegative.  Exponential, so only for small inputs; this is the
     independent oracle for the LP-based extreme-point filter.
     """
-    from convval.linalg import solve_square
-
     pts = list(generators)
     for subset in itertools.combinations(pts, min(dim + 1, len(pts))):
         cols = list(subset)

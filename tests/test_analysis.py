@@ -171,6 +171,23 @@ def test_identity_check_builds_the_hull_once(monkeypatch):
     assert parts["min"] == mu(lifted.min_convex_hull(f, h))
 
 
+def test_identity_check_calls_mu_once_per_function():
+    seen = []
+
+    def at_origin(f):
+        seen.append(f)
+        return f((Q(0), Q(0)))
+
+    mu = ScalarValuation(at_origin, degree_bound=1, label="counted")
+    pair = hinge_pair(MaxAffineFn.zero(2), (Q(1), Q(0)), Q(1), Q(1))
+    ok, lhs, rhs, parts = valuation_identity_check(mu, pair)
+    assert seen == [pair.fmax, pair.fmin, pair.f, pair.h]
+    assert ok
+    assert lhs == parts["max"] + parts["min"] and rhs == parts["f"] + parts["h"]
+    assert parts == {"max": pair.fmax((Q(0), Q(0))), "min": pair.fmin((Q(0), Q(0))),
+                     "f": pair.f((Q(0), Q(0))), "h": pair.h((Q(0), Q(0)))}
+
+
 def test_identity_check_rejects_nonconvex_min():
     mu = ScalarValuation(lambda f: f((Q(0),)), degree_bound=1)
     f = mf(1, ((1,), 0), ((-1,), 0))

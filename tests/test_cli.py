@@ -13,6 +13,7 @@ from convval.io import (
     function_from_doc,
     polytope_to_doc,
     valuation_spec_to_doc,
+    witness_doc,
 )
 from convval import Polytope
 
@@ -227,3 +228,37 @@ def test_vertex_length_error_exits_two_with_location(capsys, files):
     code, out, err = run(capsys, "eval", bad, "--point", "0")
     assert code == 2
     assert "lifted_vertices[1]: point has length 1, expected 2" in err
+
+
+def test_empty_vertex_lists_exit_two_with_location(capsys, files):
+    polytope = files["dir"] / "no_vertices.json"
+    polytope.write_text(json.dumps({"dim": 2, "vertices": []}))
+    lifted = files["dir"] / "no_lifted_vertices.json"
+    lifted.write_text(json.dumps({"dim": 1, "lifted_vertices": {}}))
+    lifted_list = files["dir"] / "empty_lifted_vertices.json"
+    lifted_list.write_text(json.dumps({"dim": 1, "lifted_vertices": []}))
+    for argv, path in (
+        (("diffbody", polytope), polytope),
+        (("projbody", polytope, "--direction", "1,0"), polytope),
+        (("eval", lifted, "--point", "0"), lifted),
+        (("conjugate", lifted), lifted),
+        (("conjugate", lifted_list), lifted_list),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: {path}: "), (argv, err)
+        assert "Traceback" not in err
+
+
+def test_replay_of_unknown_or_case_error_witness_exits_two(capsys, files):
+    unknown = files["dir"] / "unknown_check.json"
+    unknown.write_text(json.dumps({"check": "unheard-of", "inputs": {}, "lhs": None, "rhs": None}))
+    code, out, err = run(capsys, "replay", unknown)
+    assert code == 2
+    assert "check: no replay rule for check 'unheard-of'" in err
+    crashed = files["dir"] / "case_error.json"
+    crashed.write_text(json.dumps(witness_doc("case-error", {"case": "thm-a/x"},
+                                              "ZeroDivisionError", "boom", "")))
+    code, out, err = run(capsys, "replay", crashed)
+    assert code == 2
+    assert "check: a case-error witness" in err and "not replayable" in err

@@ -12,9 +12,10 @@ from convval import _geometry, lifted
 from convval._geometry import int_solve, primitive_row, vertices_of_hrep
 from convval.errors import CapabilityLimit
 from convval.generators import rand_rational, rng_for
-from convval.linalg import dot, matrix_rank, solve_square
+from convval.linalg import dot
 
 from conftest import eval_all_pieces, grid_points
+from elim_reference import matrix_rank, solve_square
 
 
 def test_int_solve_lowest_terms_positive_denominator():

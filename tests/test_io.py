@@ -34,6 +34,7 @@ from convval.io import (
     value_to_doc,
     witness_doc,
 )
+from convval.errors import CapabilityLimit
 from convval.linalg import RationalMatrix
 
 
@@ -225,3 +226,19 @@ def test_vertex_length_errors_carry_their_index():
         lifted_from_doc({"dim": 1, "lifted_vertices": [["0/1", "0/1"], ["1/1", "2/1", "3/1"]]})
     assert info.value.where == "lifted.lifted_vertices[1]"
     assert "length 3, expected 2" in str(info.value)
+
+
+def test_empty_vertex_lists_are_parse_errors_but_size_limits_stay_capability_limits():
+    with pytest.raises(ParseError) as info:
+        polytope_from_doc({"dim": 2, "vertices": []}, where="doc")
+    assert info.value.where == "doc"
+    with pytest.raises(ParseError) as info:
+        lifted_from_doc({"dim": 1, "lifted_vertices": {}}, where="doc")
+    assert info.value.where == "doc"
+    for parse, doc in (
+        (polytope_from_doc, {"dim": 5, "vertices": [["0/1"] * 5]}),
+        (lifted_from_doc, {"dim": 5, "lifted_vertices": [["0/1"] * 6]}),
+    ):
+        with pytest.raises(CapabilityLimit) as info:
+            parse(doc)
+        assert not isinstance(info.value, ParseError)

@@ -24,7 +24,7 @@ from convval import (
     min_convex_hull,
     prune,
 )
-from convval.linalg import dot, solve_square
+from convval.linalg import dot
 
 from conftest import grid_points, hinge
 

@@ -52,7 +52,7 @@ def test_two_constraint_program_exact_rational_optimum():
     best = None
     cols = list(range(3))
     for keep in itertools.combinations(cols, 2):
-        from convval.linalg import solve_square
+        from elim_reference import solve_square
 
         rows = [[A[r][j] for j in keep] for r in range(2)]
         sol = solve_square([row[:] for row in rows], b[:])

@@ -1,5 +1,6 @@
 """Property suites: determinism, reporting, exhibits, witness replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,27 @@ def test_reports_byte_identical_across_runs():
         a = run_suite(name, seed=9, trials=2)
         b = run_suite(name, seed=9, trials=2)
         assert dump_json(report_doc(a)) == dump_json(report_doc(b))
+
+
+# sha256 of emit_report(run_suite(name, 1, trials), "machine"), recorded
+# before every elimination became a wrapper over linalg.int_rref.  Exactness
+# is the product: a change that moves any rational, witness or exhibit in a
+# report changes its hash.  thm-a runs 25 of its 100 default trials to keep
+# this test near a second.
+GOLDEN_REPORTS = {
+    "thm-a": (25, "497cc5867ae88729d9d3183399228f9a2b7e4a5c38ff5e79b2c52099bc7610cc"),
+    "thm-b": (None, "c7886b726f4168eb24ba38f0a293ffa7828997094a2f7c37fa071a97c013c19b"),
+    "thm-2-1": (None, "b3ba02cb22713dc11175d09f4a93fe4bd774403780920c78908e761711b57c85"),
+    "classical": (None, "dd77ab9c379a70deddd114e3c3b1631770f297f947bc4679103e6a6fe769f103"),
+    "cor-e": (None, "0ab5c51392e53ed1334f8e9cbd3ee31da442a91221db8b3e232a35a705c35da5"),
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_machine_report_bytes_are_pinned(name):
+    trials, digest = GOLDEN_REPORTS[name]
+    text = emit_report(run_suite(name, 1, trials), "machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_machine_report_shape():
