@@ -19,20 +19,21 @@ from .io import (
     load_path,
     polytope_to_doc,
     value_to_doc,
-    witness_doc,
 )
 from .lifted import POS_INF, LiftedPolytope, conjugate, conjugate_cd
 from .maxaffine import MaxAffineFn
 from .polytopes import Polytope, difference_body, projection_body_support
 from .rational import Q, format_rational, parse_vector
 from .suites import (
+    CANONICAL_MEASURE,
     SUITES,
+    contravariance_gap_witness,
     emit_report,
     replay_witness,
     report_doc,
     run_suite,
 )
-from .valuations import DiscreteMeasure, ValuationSpec, psi_eval, psi_expand
+from .valuations import ValuationSpec, psi_eval, psi_expand
 
 
 def _common_flags(parser):
@@ -180,16 +181,10 @@ def _cmd_falsify(args):
         if not isinstance(spec, ValuationSpec):
             raise ParseError("expected a valuation specification document", args.spec)
     else:
-        spec = ValuationSpec("equivariant", args.dim, Q(0), DiscreteMeasure([(1, 1), (-1, 1)]))
+        spec = ValuationSpec("equivariant", args.dim, Q(0), CANONICAL_MEASURE)
     result = falsify_contravariance(spec, budget=args.budget)
-    if result["found"]:
-        doc = witness_doc(
-            "contravariance-gap",
-            {"spec": spec, "f": result["f"], "g": result["g"], "x": result["x"]},
-            result["lhs"], result["rhs"],
-            f"counterexample after {result['tried']} candidates; "
-            f"gap {format_rational(result['gap'])}",
-        )
+    doc = contravariance_gap_witness(spec, result)
+    if doc is not None:
         human = (f"counterexample after {result['tried']} candidates: "
                  f"lhs {format_rational(result['lhs'])} vs rhs {format_rational(result['rhs'])} "
                  f"(gap {format_rational(result['gap'])})")

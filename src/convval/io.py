@@ -217,6 +217,8 @@ def value_to_doc(value):
 
 
 def value_from_doc(doc, where="value"):
+    if not isinstance(doc, dict):
+        raise ParseError("expected a tagged value object", where)
     kind = doc.get("kind")
     if kind == "function":
         return function_from_doc(doc, where)

@@ -1,20 +1,28 @@
 """Named property suites: deterministic, replayable.
 
-Each suite expands into an indexed list of independent cases.  A case draws
-everything it needs from its own seeded stream `rng_for(seed, suite, ...)`,
-so cases can run on any schedule (here one after another) and the
-assembled report depends only on (suite, seed, trials).  Machine reports
-carry no timing, which keeps equal runs byte-identical; wall time is shown
-in the human format only.
+Each suite expands into an indexed list of independent cases, each a
+module-level function and its arguments.  A case draws everything it needs
+from its own seeded stream `rng_for(seed, suite, ...)`, so cases can run on
+any schedule (here one after another) and the assembled report depends
+only on (suite, seed, trials).  Machine reports carry no timing, which keeps
+equal runs byte-identical; wall time is shown in the human format only.
 
-A case that is *expected* to fail (an invalid measure, a counterexample
-search) passes exactly when the failure materializes, and files the exact
-witness under `exhibits` rather than `witnesses`.
+Every property is written once, in the registry `CHECKS`: a function from a
+witness's named inputs to the two sides of one exact comparison, and the
+comparator that decides failure.  Cases run their comparisons through it and
+`replay_witness` recomputes a witness through it, so every witness a case
+files replays by construction.  A case that is *expected* to fail (an
+invalid measure, a counterexample search) passes exactly when the failure
+materializes, and files the exact witness under `exhibits` rather than
+`witnesses`.
 """
 
+import inspect
+import operator
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .analysis import (
@@ -23,7 +31,6 @@ from .analysis import (
     homogeneous_decompose,
     locality_check,
     polarize,
-    valuation_identity_check,
 )
 from .errors import ParseError
 from .generators import (
@@ -100,15 +107,6 @@ MC_TOLERANCE = 0.01
 
 
 @dataclass
-class CaseResult:
-    index: int
-    name: str
-    ok: bool
-    witness: dict = None
-    exhibit: dict = None
-
-
-@dataclass
 class SuiteReport:
     """One suite run; passes + failures = cases, witnesses iff failures."""
 
@@ -127,12 +125,245 @@ class SuiteReport:
         return self.failures == 0
 
 
-def _fail(check, inputs, lhs, rhs, note=""):
-    return False, witness_doc(check, inputs, lhs, rhs, note), None
+# ---------------------------------------------------------------------------
+# the check registry
 
 
-def _midpoint(x, y):
-    return tuple((a + b) / 2 for a, b in zip(x, y))
+@dataclass(frozen=True)
+class Check:
+    """One property, written once for cases and replay alike.
+
+    `sides(**shared)` does the work a case shares across its probes and
+    returns a function of the remaining inputs giving (lhs, rhs);
+    `fails(lhs, rhs)` is true when the property is broken.  `keys` names the
+    witness inputs in recorded order, `shared` the parameters of `sides`,
+    and `optional` those of them a witness may omit.
+    """
+
+    keys: tuple
+    sides: object
+    fails: object
+    shared: tuple
+    optional: tuple
+
+
+CHECKS = {}
+
+# Witness kinds that record something other than a comparison.
+_NOT_COMPARISONS = {
+    "case-error": "an exception",
+    "expected-absent": "an expected phenomenon that did not appear",
+}
+
+
+def _check(name, keys, fails=operator.ne):
+    def register(sides):
+        params = inspect.signature(sides).parameters.values()
+        CHECKS[name] = Check(tuple(keys.split()), sides, fails,
+                             tuple(p.name for p in params),
+                             tuple(p.name for p in params if p.default is not p.empty))
+        return sides
+
+    return register
+
+
+class CaseFailed(Exception):
+    """Ends a case; its one argument is the witness the report files."""
+
+
+class _Bound:
+    """A registered check with the inputs it shares across probes bound."""
+
+    def __init__(self, name, note, **inputs):
+        self.name, self.note, self.check = name, note, CHECKS[name]
+        self.inputs = inputs
+        shared = self.check.shared
+        self.sides = self.check.sides(**{k: v for k, v in inputs.items() if k in shared})
+        self.fixed = {k: v for k, v in inputs.items() if k not in shared}
+
+    def compare(self, **probe):
+        return self.sides(**self.fixed, **probe)
+
+    def failure(self, **probe):
+        """The witness if the check fails at this probe, else None."""
+        return self.judge(*self.compare(**probe), **probe)
+
+    def judge(self, lhs, rhs, **probe):
+        """`failure` for sides that the case already holds."""
+        if not self.check.fails(lhs, rhs):
+            return None
+        inputs = {**self.inputs, **probe}
+        return witness_doc(self.name, {k: inputs[k] for k in self.check.keys if k in inputs},
+                           lhs, rhs, self.note)
+
+    def require(self, **probe):
+        _raise(self.failure(**probe))
+
+
+def _raise(witness):
+    if witness is not None:
+        raise CaseFailed(witness)
+
+
+def _absent(inputs, observed, expected, note):
+    return CaseFailed(witness_doc("expected-absent", inputs, observed, expected, note))
+
+
+@lru_cache(maxsize=1)
+def _memo(fn, *args):
+    """fn(*args) for a pure fn of immutable arguments, kept for an immediate
+    repeat: two checks of one case share one difference body or shadow area."""
+    return fn(*args)
+
+
+class _Estimate(str):
+    """A float recorded to six places; `value` keeps it unrounded."""
+
+    def __new__(cls, value):
+        text = super().__new__(cls, f"{value:.6f}")
+        text.value = value
+        return text
+
+
+def _product_valuation(spec, x, y):
+    """(psi(.)(x) - c) (psi(.)(y) - c), 2-homogeneous, and its two factors."""
+
+    def a_part(fn):
+        return psi_eval(spec, fn, x) - spec.c
+
+    def b_part(fn):
+        return psi_eval(spec, fn, y) - spec.c
+
+    return ScalarValuation(lambda fn: a_part(fn) * b_part(fn), 2, label="probe-product"), a_part, b_part
+
+
+@_check("valuation-identity", "spec x f h fmax fmin")
+def _valuation_identity(spec, f, h, fmax, fmin):
+    return lambda x: (psi_eval(spec, fmax, x) + psi_eval(spec, fmin, x),
+                      psi_eval(spec, f, x) + psi_eval(spec, h, x))
+
+
+@_check("dual-epi-invariance", "spec f ell x")
+def _dual_epi_invariance(spec, f, ell):
+    shifted = add(f, ell, do_prune=False)
+    return lambda x: (psi_eval(spec, shifted, x), psi_eval(spec, f, x))
+
+
+@_check("equivariance", "spec f g x")
+def _equivariance(spec, f, g):
+    fg = compose_linear(f, g)
+    return lambda x: (psi_eval(spec, fg, x), psi_eval(spec, f, g.matvec(x)))
+
+
+@_check("contravariance", "spec f g x")
+@_check("contravariance-gap", "spec f g x")
+def _contravariance(spec, f, g):
+    fg = compose_linear(f, g)
+    ginvt = g.inverse_transpose()
+    return lambda x: (psi_eval(spec, fg, x), psi_eval(spec, f, ginvt.matvec(x)))
+
+
+@_check("homogeneity", "spec f lam x")
+def _homogeneity(spec, f, x):
+    base = psi_eval(spec, f, x) - spec.c
+    return lambda lam: (psi_eval(spec, scale(f, lam), x) - spec.c, lam * base)
+
+
+@_check("convexity-midpoint", "spec f x y", fails=operator.gt)
+@_check("lifted-linearity", "spec f x y")
+def _midpoint_sides(spec, f):
+    return lambda x, y: (2 * psi_eval(spec, f, tuple((a + b) / 2 for a, b in zip(x, y))),
+                         psi_eval(spec, f, x) + psi_eval(spec, f, y))
+
+
+@_check("locality", "spec f modified x")
+def _locality(spec, f, modified):
+    return lambda x: (psi_eval(spec, modified, x), psi_eval(spec, f, x))
+
+
+@_check("expand-consistency", "spec f x")
+def _expand_consistency(spec, f):
+    expanded = psi_expand(spec, f)
+    return lambda x: (expanded.evaluate(x), psi_eval(spec, f, x))
+
+
+@_check("decomposition", "spec x f")
+def _decomposition(spec, x):
+    mu = ScalarValuation.from_valuation_spec(spec, x)
+    return lambda f: (tuple(homogeneous_decompose(mu, f)),
+                      (spec.c, mu(f) - spec.c) + (_ZERO,) * (spec.dim - 1))
+
+
+@_check("polarization-oracle", "spec x y f1 f2")
+def _polarization_oracle(spec, x, y):
+    mu, a, b = _product_valuation(spec, x, y)
+    return lambda f1, f2: (polarize(mu, 2, (f1, f2)), (a(f1) * b(f2) + a(f2) * b(f1)) / 2)
+
+
+@_check("polarization-symmetry", "spec x y f1 f2")
+def _polarization_symmetry(spec, x, y):
+    mu, _, _ = _product_valuation(spec, x, y)
+    return lambda f1, f2: (polarize(mu, 2, (f1, f2), check=False),
+                           polarize(mu, 2, (f2, f1), check=False))
+
+
+@_check("polarization-diagonal", "spec x y f1 f2")
+def _polarization_diagonal(spec, x, y, f2=None):
+    # Degree 2 records its case's f2, which the diagonal does not read;
+    # degree 1 (no f2) polarizes psi(.)(x) - c, which must return the map.
+    if f2 is None:
+        mu = ScalarValuation(lambda fn: psi_eval(spec, fn, x) - spec.c, 1, label="probe-minus-c")
+        return lambda f1: (polarize(mu, 1, (f1,)), mu(f1))
+    mu, _, _ = _product_valuation(spec, x, y)
+    return lambda f1: (polarize(mu, 2, (f1, f1), check=False), mu(f1))
+
+
+@_check("lifted-pairing", "spec f x")
+def _lifted_pairing(spec, f):
+    basis_values = tuple(psi_eval(spec, f, unit_vector(spec.dim, j)) for j in range(spec.dim))
+    return lambda x: (lift_vector_map(lambda _fn: basis_values, f, x), psi_eval(spec, f, x))
+
+
+@_check("cut-identity", "kind P w t u")
+def _cut_identity(kind, P, w, t):
+    make = SupportEvaluator.of_difference if kind == "difference" else SupportEvaluator.of_projection
+    below, above, section = (make(K) for K in cut_pair(P, w, t))
+    body = make(P)
+    return lambda u: (below.value(u) + above.value(u), body.value(u) + section.value(u))
+
+
+@_check("difference-exact", "P expected")
+def _difference_exact(P, expected):
+    return lambda: (difference_body(P), expected)
+
+
+@_check("volume-ratio", "P factor")
+def _volume_ratio(P, factor):
+    return lambda: (volume(_memo(difference_body, P)), factor * volume(P))
+
+
+@_check("projection-exact", "P u expected")
+def _projection_exact(P):
+    return lambda u, expected: (_memo(projection_body_support, P, u), expected)
+
+
+def _mc_strays(exact, estimate):
+    return abs(estimate.value - float(exact)) > MC_TOLERANCE * float(exact)
+
+
+@_check("projection-mc", "P axis samples path", fails=_mc_strays)
+def _projection_mc(P, axis, samples, path):
+    exact = _memo(projection_body_support, P, unit_vector(P.dim, axis))
+    return lambda: (exact, _Estimate(mc_projection_area(P, axis, samples, random.Random(path))))
+
+
+def contravariance_gap_witness(spec, found):
+    """The witness of a `falsify_contravariance` result, or None if it found none."""
+    if not found["found"]:
+        return None
+    note = f"counterexample after {found['tried']} candidates; gap {format_rational(found['gap'])}"
+    return _Bound("contravariance-gap", note, spec=spec, f=found["f"], g=found["g"],
+                  x=found["x"]).failure()
 
 
 # ---------------------------------------------------------------------------
@@ -140,118 +371,61 @@ def _midpoint(x, y):
 
 
 def _thm_a_pair_case(seed, mi, nu, k):
-    def run():
-        rng = rng_for(seed, "thm-a", mi, k)
-        dim = 1 + k % 3
-        spec = ValuationSpec("equivariant", dim, rand_rational(rng, -4, 4, 2), nu)
-        pair = rand_hinge_pair(rng, dim)
-        f = pair.f
-
-        for _ in range(3):
-            x = rand_point(rng, dim)
-            mu = ScalarValuation.from_valuation_spec(spec, x)
-            ok, lhs, rhs, _ = valuation_identity_check(mu, pair)
-            if not ok:
-                return _fail(
-                    "valuation-identity",
-                    {"spec": spec, "x": x, "f": f, "h": pair.h,
-                     "fmax": pair.fmax, "fmin": pair.fmin},
-                    lhs, rhs,
-                    "psi(max)+psi(min) vs psi(f)+psi(h) at the probe point",
-                )
-
-        ell = rand_affine(rng, dim)
-        x = rand_point(rng, dim)
-        lhs = psi_eval(spec, add(f, ell, do_prune=False), x)
-        rhs = psi_eval(spec, f, x)
-        if lhs != rhs:
-            return _fail("dual-epi-invariance", {"spec": spec, "f": f, "ell": ell, "x": x},
-                         lhs, rhs, "psi(f + affine) vs psi(f)")
-
-        g = rand_gl_matrix(rng, dim)
-        x = rand_point(rng, dim)
-        lhs = psi_eval(spec, compose_linear(f, g), x)
-        rhs = psi_eval(spec, f, g.matvec(x))
-        if lhs != rhs:
-            return _fail("equivariance", {"spec": spec, "f": f, "g": g, "x": x},
-                         lhs, rhs, "psi(f o g)(x) vs psi(f)(g x)")
-
-        x = rand_point(rng, dim)
-        base = psi_eval(spec, f, x) - spec.c
-        for lam in (_ZERO, Q(1, 2), Q(2)):
-            lhs = psi_eval(spec, scale(f, lam), x) - spec.c
-            rhs = lam * base
-            if lhs != rhs:
-                return _fail("homogeneity", {"spec": spec, "f": f, "lam": lam, "x": x},
-                             lhs, rhs, "psi(lam f) - c vs lam (psi(f) - c)")
-
-        x = rand_point(rng, dim)
-        y = rand_point(rng, dim)
-        lhs = 2 * psi_eval(spec, f, _midpoint(x, y))
-        rhs = psi_eval(spec, f, x) + psi_eval(spec, f, y)
-        if lhs > rhs:
-            return _fail("convexity-midpoint", {"spec": spec, "f": f, "x": x, "y": y},
-                         lhs, rhs, "2 psi(f)(midpoint) vs psi(f)(x) + psi(f)(y)")
-
-        x = rand_nonzero_point(rng, dim)
-        res = locality_check(spec, f, x, rng=rng)
-        if not res["ok"]:
-            return _fail("locality", {"spec": spec, "f": f, "modified": res["modified"], "x": x},
-                         res["lhs"], res["rhs"],
-                         "modification below f off the probe set changed the output")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-a", mi, k)
+    dim = 1 + k % 3
+    spec = ValuationSpec("equivariant", dim, rand_rational(rng, -4, 4, 2), nu)
+    pair = rand_hinge_pair(rng, dim)
+    f = pair.f
+    identity = _Bound("valuation-identity", "psi(max)+psi(min) vs psi(f)+psi(h) at the probe point",
+                      spec=spec, f=f, h=pair.h, fmax=pair.fmax, fmin=pair.fmin)
+    for _ in range(3):
+        identity.require(x=rand_point(rng, dim))
+    _Bound("dual-epi-invariance", "psi(f + affine) vs psi(f)",
+           spec=spec, f=f, ell=rand_affine(rng, dim)).require(x=rand_point(rng, dim))
+    _Bound("equivariance", "psi(f o g)(x) vs psi(f)(g x)",
+           spec=spec, f=f, g=rand_gl_matrix(rng, dim)).require(x=rand_point(rng, dim))
+    homogeneity = _Bound("homogeneity", "psi(lam f) - c vs lam (psi(f) - c)",
+                         spec=spec, f=f, x=rand_point(rng, dim))
+    for lam in (_ZERO, Q(1, 2), Q(2)):
+        homogeneity.require(lam=lam)
+    _Bound("convexity-midpoint", "2 psi(f)(midpoint) vs psi(f)(x) + psi(f)(y)",
+           spec=spec, f=f).require(x=rand_point(rng, dim), y=rand_point(rng, dim))
+    x = rand_nonzero_point(rng, dim)
+    res = locality_check(spec, f, x, rng=rng)
+    _raise(_Bound("locality", "modification below f off the probe set changed the output",
+                  spec=spec, f=f, modified=res["modified"], x=x).judge(res["lhs"], res["rhs"]))
 
 
 def _thm_a_expand_case(seed, mi, nu):
-    def run():
-        rng = rng_for(seed, "thm-a", mi, "expand")
-        dim = 2
-        spec = ValuationSpec("equivariant", dim, rand_rational(rng, -4, 4, 2), nu)
-        f = rand_maxaffine(rng, dim, 4)
-        expanded = psi_expand(spec, f)
-        for _ in range(5):
-            x = rand_point(rng, dim)
-            lhs = expanded.evaluate(x)
-            rhs = psi_eval(spec, f, x)
-            if lhs != rhs:
-                return _fail("expand-consistency", {"spec": spec, "f": f, "x": x},
-                             lhs, rhs, "materialized psi(f) vs pointwise psi(f)")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-a", mi, "expand")
+    spec = ValuationSpec("equivariant", 2, rand_rational(rng, -4, 4, 2), nu)
+    expand = _Bound("expand-consistency", "materialized psi(f) vs pointwise psi(f)",
+                    spec=spec, f=rand_maxaffine(rng, 2, 4))
+    for _ in range(5):
+        expand.require(x=rand_point(rng, 2))
 
 
 def _thm_a_invalid_case(seed, bi, nu):
-    def run():
-        rng = rng_for(seed, "thm-a", "invalid", bi)
-        if validate_measure(nu, require_dual_invariance=True).ok:
-            return _fail("dual-epi-invariance", {"measure": nu},
-                         nu.signed_reciprocal_moment(), _ZERO,
-                         "measure listed as invalid has vanishing moment")
-        spec = ValuationSpec("equivariant", 2, rand_rational(rng, -4, 4, 2), nu)
-        report = check_dual_epi_invariance(spec, trials=8, rng=rng)
-        if report.passed:
-            return _fail("dual-epi-invariance", {"spec": spec},
-                         "no counterexample in 8 trials", "expected a violation",
-                         "nonzero moment must break translation invariance")
-        return True, None, report.witnesses[0]
-
-    return run
+    rng = rng_for(seed, "thm-a", "invalid", bi)
+    if validate_measure(nu, require_dual_invariance=True).ok:
+        raise _absent({"measure": nu}, nu.signed_reciprocal_moment(), _ZERO,
+                      "measure listed as invalid has vanishing moment")
+    spec = ValuationSpec("equivariant", 2, rand_rational(rng, -4, 4, 2), nu)
+    report = check_dual_epi_invariance(spec, trials=8, rng=rng)
+    if report.passed:
+        raise _absent({"spec": spec}, "no counterexample in 8 trials", "expected a violation",
+                      "nonzero moment must break translation invariance")
+    return report.witnesses[0]
 
 
-def _thm_a_builders(seed, trials):
-    builders = []
+def _thm_a_cases(seed, trials):
+    cases = []
     for mi, nu in enumerate(VALID_MEASURES):
-        for k in range(trials):
-            builders.append((f"thm-a/measure{mi}/pair{k}", _thm_a_pair_case(seed, mi, nu, k)))
-        if trials > 0:
-            builders.append((f"thm-a/measure{mi}/expand", _thm_a_expand_case(seed, mi, nu)))
-    if trials > 0:
-        for bi, nu in enumerate(INVALID_MEASURES):
-            builders.append((f"thm-a/invalid{bi}/dual-epi-breaks", _thm_a_invalid_case(seed, bi, nu)))
-    return builders
+        cases += [(f"thm-a/measure{mi}/pair{k}", _thm_a_pair_case, (seed, mi, nu, k))
+                  for k in range(trials)]
+        cases.append((f"thm-a/measure{mi}/expand", _thm_a_expand_case, (seed, mi, nu)))
+    return cases + [(f"thm-a/invalid{bi}/dual-epi-breaks", _thm_a_invalid_case, (seed, bi, nu))
+                    for bi, nu in enumerate(INVALID_MEASURES)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,75 +433,41 @@ def _thm_a_builders(seed, trials):
 
 
 def _thm_b_word_case(seed, k):
-    def run():
-        rng = rng_for(seed, "thm-b", "word", k)
-        nu = VALID_MEASURES[k % len(VALID_MEASURES)]
-        spec = ValuationSpec("contravariant-2d", 2, rand_rational(rng, -4, 4, 2), nu)
-        f = rand_maxaffine(rng, 2)
-        g = rand_sl_matrix(rng, 2)
-        ginvt = g.inverse_transpose()
-        fg = compose_linear(f, g)
-        for _ in range(3):
-            x = rand_point(rng, 2)
-            lhs = psi_eval(spec, fg, x)
-            rhs = psi_eval(spec, f, ginvt.matvec(x))
-            if lhs != rhs:
-                return _fail("contravariance", {"spec": spec, "f": f, "g": g, "x": x},
-                             lhs, rhs, "psi(f o g)(x) vs psi(f)(g^-T x)")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-b", "word", k)
+    nu = VALID_MEASURES[k % len(VALID_MEASURES)]
+    spec = ValuationSpec("contravariant-2d", 2, rand_rational(rng, -4, 4, 2), nu)
+    word = _Bound("contravariance", "psi(f o g)(x) vs psi(f)(g^-T x)",
+                  spec=spec, f=rand_maxaffine(rng, 2), g=rand_sl_matrix(rng, 2))
+    for _ in range(3):
+        word.require(x=rand_point(rng, 2))
 
 
 def _thm_b_falsify_case(seed):
-    def run():
-        spec = ValuationSpec("equivariant", 3, _ZERO, CANONICAL_MEASURE)
-        res = falsify_contravariance(spec, budget=1000)
-        if not res["found"]:
-            return _fail("contravariance-gap", {"spec": spec},
-                         f"no counterexample in {res['tried']} candidates",
-                         "expected gap 1",
-                         "the shear/hinge search must succeed in dimension 3")
-        exhibit = witness_doc(
-            "contravariance-gap",
-            {"spec": spec, "f": res["f"], "g": res["g"], "x": res["x"]},
-            res["lhs"], res["rhs"],
-            f"counterexample after {res['tried']} candidates; gap {format_rational(res['gap'])}",
-        )
-        if res["gap"] != 1:
-            return False, exhibit, None
-        return True, None, exhibit
-
-    return run
+    spec = ValuationSpec("equivariant", 3, _ZERO, CANONICAL_MEASURE)
+    res = falsify_contravariance(spec, budget=1000)
+    exhibit = contravariance_gap_witness(spec, res)
+    if exhibit is None:
+        raise _absent({"spec": spec}, f"no counterexample in {res['tried']} candidates",
+                      "expected gap 1", "the shear/hinge search must succeed in dimension 3")
+    if res["gap"] != 1:
+        raise CaseFailed(exhibit)
+    return exhibit
 
 
 def _thm_b_empty_case(seed):
-    def run():
-        rng = rng_for(seed, "thm-b", "empty")
-        for dim in (2, 3):
-            spec = ValuationSpec("equivariant", dim, Q(7, 2), DiscreteMeasure.empty())
-            for _ in range(5):
-                f = rand_maxaffine(rng, dim)
-                g = rand_sl_matrix(rng, dim)
-                x = rand_point(rng, dim)
-                lhs = psi_eval(spec, compose_linear(f, g), x)
-                rhs = psi_eval(spec, f, g.inverse_transpose().matvec(x))
-                if lhs != rhs:
-                    return _fail("contravariance", {"spec": spec, "f": f, "g": g, "x": x},
-                                 lhs, rhs, "a constant map must be vacuously contravariant")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-b", "empty")
+    for dim in (2, 3):
+        spec = ValuationSpec("equivariant", dim, Q(7, 2), DiscreteMeasure.empty())
+        for _ in range(5):
+            _Bound("contravariance", "a constant map must be vacuously contravariant",
+                   spec=spec, f=rand_maxaffine(rng, dim),
+                   g=rand_sl_matrix(rng, dim)).require(x=rand_point(rng, dim))
 
 
-def _thm_b_builders(seed, trials):
-    builders = []
-    for k in range(trials):
-        builders.append((f"thm-b/sl2-word{k}", _thm_b_word_case(seed, k)))
-    if trials > 0:
-        builders.append(("thm-b/falsify-n3", _thm_b_falsify_case(seed)))
-        builders.append(("thm-b/empty-measure-vacuous", _thm_b_empty_case(seed)))
-    return builders
+def _thm_b_cases(seed, trials):
+    return ([(f"thm-b/sl2-word{k}", _thm_b_word_case, (seed, k)) for k in range(trials)]
+            + [("thm-b/falsify-n3", _thm_b_falsify_case, (seed,)),
+               ("thm-b/empty-measure-vacuous", _thm_b_empty_case, (seed,))])
 
 
 # ---------------------------------------------------------------------------
@@ -335,78 +475,35 @@ def _thm_b_builders(seed, trials):
 
 
 def _decompose_case(seed, k):
-    def run():
-        rng = rng_for(seed, "thm-2-1", "decompose", k)
-        dim = 2 + k % 2
-        nu = VALID_MEASURES[k % len(VALID_MEASURES)]
-        spec = ValuationSpec("equivariant", dim, rand_rational(rng, -4, 4, 2), nu)
-        x = rand_point(rng, dim)
-        mu = ScalarValuation.from_valuation_spec(spec, x)
-        f = rand_maxaffine(rng, dim)
-        coeffs = homogeneous_decompose(mu, f)
-        expected = [spec.c, mu(f) - spec.c] + [_ZERO] * (dim - 1)
-        if coeffs != expected:
-            return _fail("decomposition", {"spec": spec, "x": x, "f": f},
-                         tuple(coeffs), tuple(expected),
-                         "degree coefficients vs (c, mu(f)-c, 0, ...)")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-2-1", "decompose", k)
+    dim = 2 + k % 2
+    nu = VALID_MEASURES[k % len(VALID_MEASURES)]
+    spec = ValuationSpec("equivariant", dim, rand_rational(rng, -4, 4, 2), nu)
+    _Bound("decomposition", "degree coefficients vs (c, mu(f)-c, 0, ...)",
+           spec=spec, x=rand_point(rng, dim)).require(f=rand_maxaffine(rng, dim))
 
 
 def _polarize_case(seed, k):
-    def run():
-        rng = rng_for(seed, "thm-2-1", "polarize", k)
-        dim = 2
-        nu = VALID_MEASURES[k % len(VALID_MEASURES)]
-        c = rand_rational(rng, -4, 4, 2)
-        spec = ValuationSpec("equivariant", dim, c, nu)
-        x = rand_point(rng, dim)
-        y = rand_point(rng, dim)
-        f1 = rand_maxaffine(rng, dim, 5)
-        f2 = rand_maxaffine(rng, dim, 5)
-
-        def a_part(fn):
-            return psi_eval(spec, fn, x) - c
-
-        def b_part(fn):
-            return psi_eval(spec, fn, y) - c
-
-        if k % 2:
-            mu = ScalarValuation(a_part, 1, label="probe-minus-c")
-            val = polarize(mu, 1, (f1,))
-            oracle = a_part(f1)
-            if val != oracle:
-                return _fail("polarization-diagonal", {"spec": spec, "x": x, "y": y, "f1": f1},
-                             val, oracle, "degree-1 polarization must be the map itself")
-            return True, None, None
-
-        mu = ScalarValuation(lambda fn: a_part(fn) * b_part(fn), 2, label="probe-product")
-        val = polarize(mu, 2, (f1, f2))
-        oracle = (a_part(f1) * b_part(f2) + a_part(f2) * b_part(f1)) / 2
-        if val != oracle:
-            return _fail("polarization-oracle", {"spec": spec, "x": x, "y": y, "f1": f1, "f2": f2},
-                         val, oracle, "mixed differences vs the closed product form")
-        swapped = polarize(mu, 2, (f2, f1), check=False)
-        if swapped != val:
-            return _fail("polarization-symmetry", {"spec": spec, "x": x, "y": y, "f1": f1, "f2": f2},
-                         val, swapped, "polarization must be symmetric in its arguments")
-        diag = polarize(mu, 2, (f1, f1), check=False)
-        if diag != mu(f1):
-            return _fail("polarization-diagonal", {"spec": spec, "x": x, "y": y, "f1": f1},
-                         diag, mu(f1), "diagonal restriction must recover the valuation")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "thm-2-1", "polarize", k)
+    nu = VALID_MEASURES[k % len(VALID_MEASURES)]
+    spec = ValuationSpec("equivariant", 2, rand_rational(rng, -4, 4, 2), nu)
+    x = rand_point(rng, 2)
+    y = rand_point(rng, 2)
+    f1 = rand_maxaffine(rng, 2, 5)
+    f2 = rand_maxaffine(rng, 2, 5)
+    if k % 2:
+        _Bound("polarization-diagonal", "degree-1 polarization must be the map itself",
+               spec=spec, x=x, y=y, f1=f1).require()
+        return
+    for check, note in (("polarization-oracle", "mixed differences vs the closed product form"),
+                        ("polarization-symmetry", "polarization must be symmetric in its arguments"),
+                        ("polarization-diagonal", "diagonal restriction must recover the valuation")):
+        _Bound(check, note, spec=spec, x=x, y=y, f1=f1, f2=f2).require()
 
 
-def _thm_2_1_builders(seed, trials):
-    builders = []
-    for k in range(trials):
-        builders.append((f"thm-2-1/decompose{k}", _decompose_case(seed, k)))
-    for k in range(trials):
-        builders.append((f"thm-2-1/polarize{k}", _polarize_case(seed, k)))
-    return builders
+def _thm_2_1_cases(seed, trials):
+    return ([(f"thm-2-1/decompose{k}", _decompose_case, (seed, k)) for k in range(trials)]
+            + [(f"thm-2-1/polarize{k}", _polarize_case, (seed, k)) for k in range(trials)])
 
 
 # ---------------------------------------------------------------------------
@@ -456,114 +553,57 @@ def mc_projection_area(P, axis, samples, rng, pad=0.125):
 
 
 def _classical_diff_cube_case(seed, dim):
-    def run():
-        cube = _cube(dim)
-        expected = _cube(dim, -1, 1)
-        got = difference_body(cube)
-        if got != expected:
-            return _fail("difference-exact", {"P": cube, "expected": expected},
-                         got, expected, "difference body of the unit cube")
-        return True, None, None
-
-    return run
+    _Bound("difference-exact", "difference body of the unit cube",
+           P=_cube(dim), expected=_cube(dim, -1, 1)).require()
 
 
 def _classical_simplex_ratio_case(seed):
-    def run():
-        tri = Polytope(2, [(0, 0), (1, 0), (0, 1)])
-        dbody = difference_body(tri)
-        lhs = volume(dbody)
-        rhs = 6 * volume(tri)
-        if lhs != rhs:
-            return _fail("volume-ratio", {"P": tri, "factor": 6}, lhs, rhs,
-                         "vol(D T) vs 6 vol(T) for the 2-simplex")
-        if len(dbody.vertices) != 6:
-            return _fail("volume-ratio", {"P": tri, "factor": 6},
-                         len(dbody.vertices), 6, "D T must be a hexagon")
-        return True, None, None
-
-    return run
+    tri = Polytope(2, [(0, 0), (1, 0), (0, 1)])
+    _Bound("volume-ratio", "vol(D T) vs 6 vol(T) for the 2-simplex", P=tri, factor=6).require()
+    corners = len(_memo(difference_body, tri).vertices)
+    if corners != 6:
+        raise _absent({"P": tri}, corners, 6, "D T must be a hexagon")
 
 
 def _classical_proj_cube_case(seed, axis):
-    def run():
-        cube = _cube(3)
-        u = unit_vector(3, axis)
-        exact = projection_body_support(cube, u)
-        if exact != 1:
-            return _fail("projection-exact", {"P": cube, "u": u, "expected": _ONE},
-                         exact, _ONE, "unit cube shadow area along an axis")
-        path = f"{seed}/classical/mc/{axis}"
-        mc = mc_projection_area(cube, axis, MC_SAMPLES, random.Random(path))
-        if abs(mc - float(exact)) > MC_TOLERANCE * float(exact):
-            return _fail(
-                "projection-mc",
-                {"P": cube, "axis": axis, "samples": MC_SAMPLES, "path": path},
-                exact, f"{mc:.6f}",
-                "Monte Carlo shadow area strayed beyond one percent",
-            )
-        return True, None, None
-
-    return run
+    cube = _cube(3)
+    _Bound("projection-exact", "unit cube shadow area along an axis",
+           P=cube, u=unit_vector(3, axis), expected=_ONE).require()
+    _Bound("projection-mc", "Monte Carlo shadow area strayed beyond one percent",
+           P=cube, axis=axis, samples=MC_SAMPLES, path=f"{seed}/classical/mc/{axis}").require()
 
 
 def _classical_proj_simplex_case(seed):
-    def run():
-        simplex = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        for axis in range(3):
-            u = unit_vector(3, axis)
-            got = projection_body_support(simplex, u)
-            if got != Q(1, 2):
-                return _fail("projection-exact", {"P": simplex, "u": u, "expected": Q(1, 2)},
-                             got, Q(1, 2), "standard simplex shadow area along an axis")
-        return True, None, None
-
-    return run
+    simplex = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    shadow = _Bound("projection-exact", "standard simplex shadow area along an axis", P=simplex)
+    for axis in range(3):
+        shadow.require(u=unit_vector(3, axis), expected=Q(1, 2))
 
 
 def _classical_cut_case(seed, k, kind):
-    def run():
-        rng = rng_for(seed, "classical", "cut", k)
-        dim = 3 if k % 10 < 3 else 2
-        P = rand_polytope(rng, dim)
-        w = rand_direction(rng, dim)
-        vals = [dot(w, v) for v in P.vertices]
-        lo, hi = min(vals), max(vals)
-        t = lo + (hi - lo) * Q(rng.randint(1, 3), 4)
-        below, above, section = cut_pair(P, w, t)
-        if kind == "difference":
-            make = SupportEvaluator.of_difference
-        else:
-            make = SupportEvaluator.of_projection
-        e_parts = (make(below), make(above), make(P), make(section))
-        dirs = rng_for(seed, "classical", "cut", k, kind)
-        for _ in range(CUT_DIRECTIONS):
-            u = rand_direction(dirs, dim)
-            lhs = e_parts[0].value(u) + e_parts[1].value(u)
-            rhs = e_parts[2].value(u) + e_parts[3].value(u)
-            if lhs != rhs:
-                return _fail("cut-identity",
-                             {"kind": kind, "P": P, "w": w, "t": t, "u": u},
-                             lhs, rhs,
-                             "support of the two halves vs body plus section")
-        return True, None, None
-
-    return run
+    rng = rng_for(seed, "classical", "cut", k)
+    dim = 3 if k % 10 < 3 else 2
+    P = rand_polytope(rng, dim)
+    w = rand_direction(rng, dim)
+    vals = [dot(w, v) for v in P.vertices]
+    lo, hi = min(vals), max(vals)
+    t = lo + (hi - lo) * Q(rng.randint(1, 3), 4)
+    cut = _Bound("cut-identity", "support of the two halves vs body plus section",
+                 kind=kind, P=P, w=w, t=t)
+    dirs = rng_for(seed, "classical", "cut", k, kind)
+    for _ in range(CUT_DIRECTIONS):
+        cut.require(u=rand_direction(dirs, dim))
 
 
-def _classical_builders(seed, trials):
-    builders = []
-    if trials > 0:
-        builders.append(("classical/diff-square", _classical_diff_cube_case(seed, 2)))
-        builders.append(("classical/diff-cube", _classical_diff_cube_case(seed, 3)))
-        builders.append(("classical/diff-simplex-ratio", _classical_simplex_ratio_case(seed)))
-        for axis in range(3):
-            builders.append((f"classical/proj-cube-axis{axis}", _classical_proj_cube_case(seed, axis)))
-        builders.append(("classical/proj-simplex", _classical_proj_simplex_case(seed)))
-    for k in range(trials):
-        for kind in ("difference", "projection"):
-            builders.append((f"classical/cut{k}/{kind}", _classical_cut_case(seed, k, kind)))
-    return builders
+def _classical_cases(seed, trials):
+    return ([("classical/diff-square", _classical_diff_cube_case, (seed, 2)),
+             ("classical/diff-cube", _classical_diff_cube_case, (seed, 3)),
+             ("classical/diff-simplex-ratio", _classical_simplex_ratio_case, (seed,))]
+            + [(f"classical/proj-cube-axis{axis}", _classical_proj_cube_case, (seed, axis))
+               for axis in range(3)]
+            + [("classical/proj-simplex", _classical_proj_simplex_case, (seed,))]
+            + [(f"classical/cut{k}/{kind}", _classical_cut_case, (seed, k, kind))
+               for k in range(trials) for kind in ("difference", "projection")])
 
 
 # ---------------------------------------------------------------------------
@@ -575,112 +615,77 @@ _PAIRING_PROBES = ((0, 0), (2, 0), (0, 2), (2, 2), (4, 0), (-2, 2), (1, 1))
 
 
 def _cor_e_violation_case(seed, mi, nu):
-    def run():
-        spec = ValuationSpec("contravariant-2d", 2, _ZERO, nu)
-        f = paraboloid_tangents(2, grid=2)
-        rng = rng_for(seed, "cor-e", "midpoint", mi)
-        pairs = [(rat_vector(p), rat_vector(tuple(-v for v in p))) for p in _MIDPOINT_PROBES]
-        for _ in range(5):
-            pairs.append((rand_point(rng, 2), rand_point(rng, 2)))
-        for x, y in pairs:
-            lhs = 2 * psi_eval(spec, f, _midpoint(x, y))
-            rhs = psi_eval(spec, f, x) + psi_eval(spec, f, y)
-            if lhs != rhs:
-                exhibit = witness_doc(
-                    "lifted-linearity", {"spec": spec, "f": f, "x": x, "y": y},
-                    lhs, rhs,
-                    "midpoint linearity fails: the output is genuinely convex in x",
-                )
-                return True, None, exhibit
-        return _fail("lifted-linearity", {"spec": spec, "f": f},
-                     "no violation found", "expected a midpoint gap",
-                     "a nonzero measure on a strictly convex profile must bend")
-
-    return run
+    spec = ValuationSpec("contravariant-2d", 2, _ZERO, nu)
+    f = paraboloid_tangents(2, grid=2)
+    rng = rng_for(seed, "cor-e", "midpoint", mi)
+    pairs = [(rat_vector(p), rat_vector(tuple(-v for v in p))) for p in _MIDPOINT_PROBES]
+    for _ in range(5):
+        pairs.append((rand_point(rng, 2), rand_point(rng, 2)))
+    linear = _Bound("lifted-linearity", "midpoint linearity fails: the output is genuinely convex in x",
+                    spec=spec, f=f)
+    for x, y in pairs:
+        exhibit = linear.failure(x=x, y=y)
+        if exhibit is not None:
+            return exhibit
+    raise _absent({"spec": spec, "f": f}, "no violation found", "expected a midpoint gap",
+                  "a nonzero measure on a strictly convex profile must bend")
 
 
 def _cor_e_pairing_case(seed, mi, nu):
-    def run():
-        spec = ValuationSpec("contravariant-2d", 2, _ZERO, nu)
-        f = paraboloid_tangents(2, grid=2)
-        basis_values = tuple(psi_eval(spec, f, unit_vector(2, j)) for j in range(2))
-        for p in _PAIRING_PROBES:
-            x = rat_vector(p)
-            lhs = lift_vector_map(lambda _fn: basis_values, f, x)
-            rhs = psi_eval(spec, f, x)
-            if lhs != rhs:
-                exhibit = witness_doc(
-                    "lifted-pairing", {"spec": spec, "f": f, "x": x},
-                    lhs, rhs,
-                    "<x, v(f)> with v read off the basis vs the map itself",
-                )
-                return True, None, exhibit
-        return _fail("lifted-pairing", {"spec": spec, "f": f},
-                     "pairing matched everywhere", "expected an inconsistency",
-                     "only the zero map factors through a fixed vector")
-
-    return run
+    spec = ValuationSpec("contravariant-2d", 2, _ZERO, nu)
+    f = paraboloid_tangents(2, grid=2)
+    pairing = _Bound("lifted-pairing", "<x, v(f)> with v read off the basis vs the map itself",
+                     spec=spec, f=f)
+    for p in _PAIRING_PROBES:
+        exhibit = pairing.failure(x=rat_vector(p))
+        if exhibit is not None:
+            return exhibit
+    raise _absent({"spec": spec, "f": f}, "pairing matched everywhere", "expected an inconsistency",
+                  "only the zero map factors through a fixed vector")
 
 
 def _cor_e_zero_case(seed, trials):
-    def run():
-        spec = ValuationSpec("contravariant-2d", 2, _ZERO, DiscreteMeasure.empty())
-        f = paraboloid_tangents(2, grid=2)
-        rng = rng_for(seed, "cor-e", "zero")
-        basis_values = tuple(psi_eval(spec, f, unit_vector(2, j)) for j in range(2))
-        for _ in range(max(trials, 1)):
-            x = rand_point(rng, 2)
-            y = rand_point(rng, 2)
-            lhs = 2 * psi_eval(spec, f, _midpoint(x, y))
-            rhs = psi_eval(spec, f, x) + psi_eval(spec, f, y)
-            if lhs != rhs:
-                return _fail("lifted-linearity", {"spec": spec, "f": f, "x": x, "y": y},
-                             lhs, rhs, "the zero map must be exactly linear")
-            paired = lift_vector_map(lambda _fn: basis_values, f, x)
-            direct = psi_eval(spec, f, x)
-            if paired != direct:
-                return _fail("lifted-pairing", {"spec": spec, "f": f, "x": x},
-                             paired, direct, "the zero map must pair consistently")
-        return True, None, None
-
-    return run
+    spec = ValuationSpec("contravariant-2d", 2, _ZERO, DiscreteMeasure.empty())
+    f = paraboloid_tangents(2, grid=2)
+    rng = rng_for(seed, "cor-e", "zero")
+    linear = _Bound("lifted-linearity", "the zero map must be exactly linear", spec=spec, f=f)
+    pairing = _Bound("lifted-pairing", "the zero map must pair consistently", spec=spec, f=f)
+    for _ in range(max(trials, 1)):
+        x = rand_point(rng, 2)
+        linear.require(x=x, y=rand_point(rng, 2))
+        pairing.require(x=x)
 
 
-def _cor_e_builders(seed, trials):
-    builders = []
-    if trials > 0:
-        for mi, nu in enumerate(VALID_MEASURES):
-            builders.append((f"cor-e/measure{mi}/midpoint", _cor_e_violation_case(seed, mi, nu)))
-            builders.append((f"cor-e/measure{mi}/pairing", _cor_e_pairing_case(seed, mi, nu)))
-        builders.append(("cor-e/zero-map", _cor_e_zero_case(seed, trials)))
-    return builders
+def _cor_e_cases(seed, trials):
+    cases = []
+    for mi, nu in enumerate(VALID_MEASURES):
+        cases.append((f"cor-e/measure{mi}/midpoint", _cor_e_violation_case, (seed, mi, nu)))
+        cases.append((f"cor-e/measure{mi}/pairing", _cor_e_pairing_case, (seed, mi, nu)))
+    return cases + [("cor-e/zero-map", _cor_e_zero_case, (seed, trials))]
 
 
 # ---------------------------------------------------------------------------
 # runner and reports
 
 
-_BUILDERS = {
-    "thm-a": _thm_a_builders,
-    "thm-b": _thm_b_builders,
-    "thm-2-1": _thm_2_1_builders,
-    "classical": _classical_builders,
-    "cor-e": _cor_e_builders,
+_CASES = {
+    "thm-a": _thm_a_cases,
+    "thm-b": _thm_b_cases,
+    "thm-2-1": _thm_2_1_cases,
+    "classical": _classical_cases,
+    "cor-e": _cor_e_cases,
 }
 
 
-def _run_case(index, name, thunk):
+def _run_case(index, name, case, args):
+    """Run one case; (its witness if it failed, the exhibit it filed)."""
     try:
-        ok, witness, exhibit = thunk()
+        return None, case(*args)
+    except CaseFailed as failed:
+        return failed.args[0], None
     except Exception as exc:  # surfaced as an honest failure, never swallowed
-        ok = False
-        witness = witness_doc("case-error", {"case": name},
-                              type(exc).__name__, repr(exc),
-                              "unexpected exception while running the case")
-        exhibit = None
-    if not ok and witness is None:
-        witness = witness_doc("case-error", {"case": name}, "failed", "no witness", "")
-    return CaseResult(index, name, ok, witness if not ok else None, exhibit)
+        return witness_doc("case-error", {"case": name}, type(exc).__name__, repr(exc),
+                           "unexpected exception while running the case"), None
 
 
 def run_suite(name, seed, trials=None):
@@ -693,27 +698,25 @@ def run_suite(name, seed, trials=None):
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     start = time.perf_counter()
-    builders = _BUILDERS[name](seed, trials)
-    results = [_run_case(i, nm, th) for i, (nm, th) in enumerate(builders)]
-    wall = time.perf_counter() - start
-    passes = sum(1 for r in results if r.ok)
+    cases = _CASES[name](seed, trials) if trials else []
     witnesses = []
     exhibits = []
-    for r in results:
-        if not r.ok:
-            witnesses.append(dict(r.witness, case=r.name, index=r.index))
-        if r.exhibit is not None:
-            exhibits.append(dict(r.exhibit, case=r.name, index=r.index))
+    for index, (case_name, case, args) in enumerate(cases):
+        witness, exhibit = _run_case(index, case_name, case, args)
+        if witness is not None:
+            witnesses.append(dict(witness, case=case_name, index=index))
+        if exhibit is not None:
+            exhibits.append(dict(exhibit, case=case_name, index=index))
     return SuiteReport(
         suite=name,
         seed=seed,
         trials=trials,
-        cases=len(results),
-        passes=passes,
-        failures=len(results) - passes,
+        cases=len(cases),
+        passes=len(cases) - len(witnesses),
+        failures=len(witnesses),
         witnesses=witnesses,
         exhibits=exhibits,
-        wall_time=wall,
+        wall_time=time.perf_counter() - start,
     )
 
 
@@ -750,174 +753,14 @@ def emit_report(report, format="human"):
         f"  exhibits {len(report.exhibits)}",
         f"wall time {report.wall_time:.3f}s",
     ]
-    for w in report.witnesses:
-        lines.append(
-            f"FAIL case {w.get('case')} [{w.get('index')}] check {w.get('check')}: "
-            f"lhs {_value_brief(w.get('lhs'))} vs rhs {_value_brief(w.get('rhs'))}"
-        )
-    for e in report.exhibits:
-        lines.append(
-            f"exhibit case {e.get('case')} [{e.get('index')}] check {e.get('check')}: "
-            f"lhs {_value_brief(e.get('lhs'))} vs rhs {_value_brief(e.get('rhs'))}"
-        )
+    for label, docs in (("FAIL", report.witnesses), ("exhibit", report.exhibits)):
+        for w in docs:
+            lines.append(
+                f"{label} case {w.get('case')} [{w.get('index')}] check {w.get('check')}: "
+                f"lhs {_value_brief(w.get('lhs'))} vs rhs {_value_brief(w.get('rhs'))}"
+            )
     lines.append("PASS" if report.failures == 0 else "FAIL")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# witness replay
-
-
-def _replay_dual_epi(i):
-    lhs = psi_eval(i["spec"], add(i["f"], i["ell"], do_prune=False), i["x"])
-    return lhs, psi_eval(i["spec"], i["f"], i["x"])
-
-
-def _replay_equivariance(i):
-    lhs = psi_eval(i["spec"], compose_linear(i["f"], i["g"]), i["x"])
-    return lhs, psi_eval(i["spec"], i["f"], i["g"].matvec(i["x"]))
-
-
-def _replay_contravariance(i):
-    lhs = psi_eval(i["spec"], compose_linear(i["f"], i["g"]), i["x"])
-    return lhs, psi_eval(i["spec"], i["f"], i["g"].inverse_transpose().matvec(i["x"]))
-
-
-def _replay_valuation_identity(i):
-    spec, x = i["spec"], i["x"]
-    lhs = psi_eval(spec, i["fmax"], x) + psi_eval(spec, i["fmin"], x)
-    return lhs, psi_eval(spec, i["f"], x) + psi_eval(spec, i["h"], x)
-
-
-def _replay_homogeneity(i):
-    spec = i["spec"]
-    lhs = psi_eval(spec, scale(i["f"], i["lam"]), i["x"]) - spec.c
-    return lhs, i["lam"] * (psi_eval(spec, i["f"], i["x"]) - spec.c)
-
-
-def _replay_midpoint(i):
-    spec, f, x, y = i["spec"], i["f"], i["x"], i["y"]
-    lhs = 2 * psi_eval(spec, f, _midpoint(x, y))
-    return lhs, psi_eval(spec, f, x) + psi_eval(spec, f, y)
-
-
-def _replay_locality(i):
-    lhs = psi_eval(i["spec"], i["modified"], i["x"])
-    return lhs, psi_eval(i["spec"], i["f"], i["x"])
-
-
-def _replay_expand(i):
-    lhs = psi_expand(i["spec"], i["f"]).evaluate(i["x"])
-    return lhs, psi_eval(i["spec"], i["f"], i["x"])
-
-
-def _replay_decomposition(i):
-    spec, x, f = i["spec"], i["x"], i["f"]
-    mu = ScalarValuation.from_valuation_spec(spec, x)
-    coeffs = homogeneous_decompose(mu, f)
-    expected = [spec.c, mu(f) - spec.c] + [_ZERO] * (spec.dim - 1)
-    return tuple(coeffs), tuple(expected)
-
-
-def _polarize_parts(i):
-    spec, x, y = i["spec"], i["x"], i["y"]
-
-    def a_part(fn):
-        return psi_eval(spec, fn, x) - spec.c
-
-    def b_part(fn):
-        return psi_eval(spec, fn, y) - spec.c
-
-    mu = ScalarValuation(lambda fn: a_part(fn) * b_part(fn), 2, label="probe-product")
-    return mu, a_part, b_part
-
-
-def _replay_polarization_oracle(i):
-    mu, a_part, b_part = _polarize_parts(i)
-    f1, f2 = i["f1"], i["f2"]
-    lhs = polarize(mu, 2, (f1, f2), check=False)
-    return lhs, (a_part(f1) * b_part(f2) + a_part(f2) * b_part(f1)) / 2
-
-
-def _replay_polarization_symmetry(i):
-    mu, _, _ = _polarize_parts(i)
-    lhs = polarize(mu, 2, (i["f1"], i["f2"]), check=False)
-    return lhs, polarize(mu, 2, (i["f2"], i["f1"]), check=False)
-
-
-def _replay_polarization_diagonal(i):
-    if "f2" in i:
-        mu, _, _ = _polarize_parts(i)
-        lhs = polarize(mu, 2, (i["f1"], i["f1"]), check=False)
-        return lhs, mu(i["f1"])
-    spec, x = i["spec"], i["x"]
-    mu = ScalarValuation(lambda fn: psi_eval(spec, fn, x) - spec.c, 1, label="probe-minus-c")
-    lhs = polarize(mu, 1, (i["f1"],), check=False)
-    return lhs, mu(i["f1"])
-
-
-def _replay_lifted_pairing(i):
-    spec, f, x = i["spec"], i["f"], i["x"]
-    basis_values = tuple(psi_eval(spec, f, unit_vector(spec.dim, j)) for j in range(spec.dim))
-    lhs = lift_vector_map(lambda _fn: basis_values, f, x)
-    return lhs, psi_eval(spec, f, x)
-
-
-def _replay_cut_identity(i):
-    below, above, section = cut_pair(i["P"], i["w"], i["t"])
-    if i["kind"] == "difference":
-        make = SupportEvaluator.of_difference
-    else:
-        make = SupportEvaluator.of_projection
-    u = i["u"]
-    lhs = make(below).value(u) + make(above).value(u)
-    return lhs, make(i["P"]).value(u) + make(section).value(u)
-
-
-def _replay_difference_exact(i):
-    return difference_body(i["P"]), i["expected"]
-
-
-def _replay_volume_ratio(i):
-    return volume(difference_body(i["P"])), i["factor"] * volume(i["P"])
-
-
-def _replay_projection_exact(i):
-    return projection_body_support(i["P"], i["u"]), i["expected"]
-
-
-def _replay_projection_mc(i):
-    exact = projection_body_support(i["P"], unit_vector(i["P"].dim, i["axis"]))
-    mc = mc_projection_area(i["P"], i["axis"], i["samples"], random.Random(i["path"]))
-    return exact, f"{mc:.6f}"
-
-
-def _replay_contravariance_gap(i):
-    return _replay_contravariance(i)
-
-
-_REPLAY = {
-    "dual-epi-invariance": _replay_dual_epi,
-    "equivariance": _replay_equivariance,
-    "contravariance": _replay_contravariance,
-    "contravariance-gap": _replay_contravariance_gap,
-    "valuation-identity": _replay_valuation_identity,
-    "homogeneity": _replay_homogeneity,
-    "convexity-midpoint": _replay_midpoint,
-    "lifted-linearity": _replay_midpoint,
-    "locality": _replay_locality,
-    "expand-consistency": _replay_expand,
-    "decomposition": _replay_decomposition,
-    "polarization-oracle": _replay_polarization_oracle,
-    "polarization-symmetry": _replay_polarization_symmetry,
-    "polarization-diagonal": _replay_polarization_diagonal,
-    "lifted-pairing": _replay_lifted_pairing,
-    "cut-identity": _replay_cut_identity,
-    "difference-exact": _replay_difference_exact,
-    "volume-ratio": _replay_volume_ratio,
-    "projection-exact": _replay_projection_exact,
-    "projection-mc": _replay_projection_mc,
-}
 
 
 def replay_witness(doc):
@@ -927,14 +770,23 @@ def replay_witness(doc):
     recorded ones exactly (after identical serialization).
     """
     check = doc.get("check")
-    if check == "case-error":
-        raise ParseError("a case-error witness records an exception, not a comparison; "
+    if check in _NOT_COMPARISONS:
+        raise ParseError(f"a {check} witness records {_NOT_COMPARISONS[check]}, not a comparison; "
                          "it is not replayable", "check")
-    rule = _REPLAY.get(check)
+    rule = CHECKS.get(check)
     if rule is None:
         raise ParseError(f"no replay rule for check {check!r}", "check")
-    inputs = {k: value_from_doc(v, where=f"inputs.{k}") for k, v in doc.get("inputs", {}).items()}
-    lhs, rhs = rule(inputs)
+    raw = doc.get("inputs", {})
+    if not isinstance(raw, dict):
+        raise ParseError("expected an object of named inputs", "inputs")
+    for key in raw:
+        if key not in rule.keys:
+            raise ParseError(f"check {check!r} takes no such input", f"inputs.{key}")
+    for key in rule.keys:
+        if key not in raw and key not in rule.optional:
+            raise ParseError(f"check {check!r} needs this input", f"inputs.{key}")
+    inputs = {k: value_from_doc(v, where=f"inputs.{k}") for k, v in raw.items()}
+    lhs, rhs = _Bound(check, "", **inputs).compare()
     lhs_doc = value_to_doc(lhs)
     rhs_doc = value_to_doc(rhs)
     return {

@@ -6,6 +6,7 @@ import pytest
 
 from convval import DiscreteMeasure, MaxAffineFn, Q, ValuationSpec
 from convval.cli import main
+from convval.suites import run_suite
 from convval.io import (
     dump_json,
     function_to_doc,
@@ -262,3 +263,35 @@ def test_replay_of_unknown_or_case_error_witness_exits_two(capsys, files):
     code, out, err = run(capsys, "replay", crashed)
     assert code == 2
     assert "check: a case-error witness" in err and "not replayable" in err
+
+
+def test_replay_with_missing_or_unexpected_input_exits_two(capsys, files):
+    missing = files["dir"] / "missing.json"
+    missing.write_text(json.dumps({"check": "equivariance", "inputs": {},
+                                   "lhs": None, "rhs": None}))
+    code, out, err = run(capsys, "replay", missing)
+    assert code == 2
+    assert err.startswith("error: inputs.spec: ") and "Traceback" not in err
+    rep = run_suite("thm-b", seed=1, trials=1)
+    extra = dict(rep.exhibits[0])
+    extra["inputs"] = dict(extra["inputs"], h=extra["inputs"]["f"])
+    unexpected = files["dir"] / "unexpected.json"
+    unexpected.write_text(json.dumps(extra))
+    code, out, err = run(capsys, "replay", unexpected)
+    assert code == 2
+    assert err.startswith("error: inputs.h: ")
+    for inputs, where in ((dict(rep.exhibits[0]["inputs"], x=5), "inputs.x"), ([], "inputs")):
+        unexpected.write_text(json.dumps(dict(extra, inputs=inputs)))
+        code, out, err = run(capsys, "replay", unexpected)
+        assert code == 2
+        assert err.startswith(f"error: {where}: ")
+
+
+def test_falsify_witness_is_the_thm_b_exhibit(capsys, tmp_path):
+    wpath = tmp_path / "gap.json"
+    code, _, _ = run(capsys, "falsify", "--out", wpath)
+    assert code == 0
+    exhibit = run_suite("thm-b", seed=0, trials=1).exhibits[0]
+    assert exhibit["check"] == "contravariance-gap"
+    recorded = {k: v for k, v in exhibit.items() if k not in ("case", "index")}
+    assert json.loads(wpath.read_text()) == recorded

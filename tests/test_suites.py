@@ -1,11 +1,14 @@
 """Property suites: determinism, reporting, exhibits, witness replay."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from convval import suites
 from convval.suites import (
+    CHECKS,
     DEFAULT_TRIALS,
     SUITES,
     emit_report,
@@ -14,9 +17,11 @@ from convval.suites import (
     report_doc,
     run_suite,
 )
-from convval import Polytope, Q
+from convval import DiscreteMeasure, Polytope, Q, ValuationSpec
+from convval.errors import ParseError
 from convval.generators import rng_for
 from convval.io import dump_json
+from convval.valuations import check_dual_epi_invariance, check_equivariance
 
 
 def test_unknown_suite_and_bad_trials_rejected():
@@ -138,3 +143,96 @@ def test_mc_projection_area_cube_shadow():
     # Identical stream, identical estimate.
     again = mc_projection_area(P, 0, samples=100_000, rng=rng_for(0, "mc-test"))
     assert est == again
+
+
+def _always(verdict):
+    return lambda lhs, rhs: verdict
+
+
+def _fails_first(name, check, fired):
+    """`check`, except that its first comparison in a run fails."""
+
+    def fails(lhs, rhs):
+        if name in fired:
+            return check.fails(lhs, rhs)
+        fired.add(name)
+        return True
+
+    return dataclasses.replace(check, fails=fails)
+
+
+def _emitted(seed=0, trials=1):
+    docs = []
+    for name in SUITES:
+        rep = run_suite(name, seed=seed, trials=trials)
+        docs += rep.witnesses + rep.exhibits
+    return docs
+
+
+def test_forced_failure_of_every_check_replays(monkeypatch):
+    # Every registered comparator is made to fail the first time it is
+    # consulted, and every suite runs, so the suites file witnesses from
+    # failure paths that green runs never reach; a failure ends its case, so
+    # rounds repeat until each check has failed once.  All of them must
+    # replay to their recorded sides.  Fewer Monte Carlo samples keep this
+    # quick; a witness records its sample count.
+    monkeypatch.setattr(suites, "MC_SAMPLES", 1000)
+    real = dict(CHECKS)
+    docs, pending = {}, set(CHECKS)
+    while pending:
+        fired = set()
+        for name in pending:
+            monkeypatch.setitem(CHECKS, name, _fails_first(name, real[name], fired))
+        emitted = _emitted()
+        assert fired, pending
+        assert fired <= {d["check"] for d in emitted}
+        for name in fired:
+            monkeypatch.setitem(CHECKS, name, real[name])
+        pending -= fired
+        docs.update((dump_json(d), d) for d in emitted)
+    for doc in docs.values():
+        res = replay_witness(doc)
+        assert res["match"], (doc["case"], doc["check"], res)
+    produced = {d["check"] for d in docs.values()}
+    # The other producers of witnesses: the sampled checks in valuations.
+    # The CLI's falsify verb files the thm-b exhibit (see test_cli), and the
+    # benchmark's transform requests file the schemas of thm-a's expand and
+    # classical's difference-exact cases.
+    spec = ValuationSpec("equivariant", 3, Q(0), DiscreteMeasure([(2, 1)]))
+    planar = ValuationSpec("contravariant-2d", 2, Q(0), DiscreteMeasure([(2, 1)]))
+    rng = rng_for(0, "producers")
+    for report in (check_dual_epi_invariance(spec, 2, rng),
+                   check_equivariance(planar, "equivariant", "SL", 2, rng),
+                   check_equivariance(spec, "contravariant", "SL", 2, rng)):
+        assert report.witnesses, report.name
+        for doc in report.witnesses:
+            assert replay_witness(doc)["match"], report.name
+            produced.add(doc["check"])
+    assert produced == set(CHECKS)
+
+
+def test_degree_two_diagonal_witness_replays_as_degree_two(monkeypatch):
+    forced = dataclasses.replace(CHECKS["polarization-diagonal"], fails=_always(True))
+    monkeypatch.setitem(CHECKS, "polarization-diagonal", forced)
+    rep = run_suite("thm-2-1", seed=1, trials=2)
+    diag = {w["case"]: w for w in rep.witnesses if w["check"] == "polarization-diagonal"}
+    two, one = diag["thm-2-1/polarize0"], diag["thm-2-1/polarize1"]
+    assert list(two["inputs"]) == ["spec", "x", "y", "f1", "f2"]
+    assert list(one["inputs"]) == ["spec", "x", "y", "f1"]
+    assert two["lhs"] == {"kind": "rational", "value": "3621/8"}
+    for w in (two, one):
+        res = replay_witness(w)
+        assert res["match"], res
+
+
+def test_missing_phenomena_are_filed_as_unreplayable(monkeypatch):
+    for check in ("lifted-linearity", "lifted-pairing", "contravariance-gap"):
+        monkeypatch.setitem(CHECKS, check, dataclasses.replace(CHECKS[check], fails=_always(False)))
+    absent = [w for w in _emitted() if w["check"] == "expected-absent"]
+    assert sorted(w["case"] for w in absent) == sorted(
+        [f"cor-e/measure{mi}/{kind}" for mi in range(5) for kind in ("midpoint", "pairing")]
+        + ["thm-b/falsify-n3"])
+    for w in absent:
+        with pytest.raises(ParseError, match="not a comparison; it is not replayable"):
+            replay_witness(w)
+
