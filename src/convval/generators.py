@@ -122,24 +122,6 @@ def rand_valid_measure(rng, max_positive=2):
     return DiscreteMeasure(atoms)
 
 
-def rand_invalid_measure(rng, max_atoms=3):
-    """Nonempty atoms whose signed reciprocal moment is nonzero."""
-    while True:
-        count = rng.randint(1, max_atoms)
-        seen = set()
-        atoms = []
-        for _ in range(count):
-            while True:
-                s = Q(rng.randint(-6, 6), rng.randint(1, 2))
-                if s != 0 and s not in seen:
-                    seen.add(s)
-                    break
-            atoms.append((s, Q(rng.randint(1, 6), rng.randint(1, 2))))
-        nu = DiscreteMeasure(atoms)
-        if nu.signed_reciprocal_moment() != 0:
-            return nu
-
-
 def rand_hinge_pair(rng, dim, base_pieces=6):
     from .analysis import hinge_pair
 

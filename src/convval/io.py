@@ -232,21 +232,24 @@ def value_from_doc(doc, where="value"):
         return measure_from_doc(doc, where)
     if kind == "valuation":
         return valuation_spec_from_doc(doc, where)
-    if kind == "bool":
-        return bool(doc["value"])
-    if kind == "int":
-        return int(doc["value"])
-    if kind == "str":
-        return str(doc["value"])
-    if kind == "vector":
-        return _vec_parse(doc["value"], where)
     if kind == "none":
         return None
     if kind == "posinf":
         return POS_INF
+    if kind not in ("bool", "int", "str", "vector", "rational"):
+        raise ParseError(f"unknown document kind {kind!r}", where)
+    where = f"{where}.value"
+    if "value" not in doc:
+        raise ParseError(f"missing value for a {kind} document", where)
+    value = doc["value"]
+    if kind == "vector":
+        return _vec_parse(value, where)
     if kind == "rational":
-        return parse_rational(doc["value"], where)
-    raise ParseError(f"unknown document kind {kind!r}", where)
+        return parse_rational(value, where)
+    # Exactly a JSON bool, integer or string: no float, string or bool as an int.
+    if type(value) is not {"bool": bool, "int": int, "str": str}[kind]:
+        raise ParseError(f"expected a {kind} value, got {value!r}", where)
+    return value
 
 
 def witness_doc(check, inputs, lhs, rhs, note=""):

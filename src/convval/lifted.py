@@ -11,12 +11,15 @@ Evaluation of a floor map at a point is a small exact feasibility/optimum
 problem over convex combinations of the lifted vertices; +infinity (outside
 the shadow of the polytope) is reported by a sentinel object, never as an
 arithmetic value.
+
+Min-convexity of a pair is decided in two exact stages against the largest
+convex minorant of min{f, h}: a fast reject when a minorant piece is no
+piece of f or h, then one gap program per piece pair that asks whether both
+pieces rise strictly above the minorant somewhere.
 """
 
-from itertools import combinations
-
 from . import _simplex
-from ._geometry import hrep_with_vertical_ray, int_solve, primitive_row, vertices_of_hrep
+from ._geometry import hrep_with_vertical_ray, vertices_of_hrep
 from .errors import CapabilityLimit, DimensionMismatch
 from .maxaffine import MAX_HULL_DIM, MaxAffineFn, extreme_indices, prune
 from .rational import Q, rat_vector
@@ -168,46 +171,17 @@ def _hull_of_pruned(fp, hp):
     return prune(MaxAffineFn(n, [(v[:n], -v[n]) for v in verts]))
 
 
-def _wall_hyperplanes(f, h):
-    """Distinct walls {p_i = p_j} over pieces of f, of h, and across."""
-    walls = set()
-
-    def add_pairs(pieces_a, pieces_b):
-        for (a1, b1) in pieces_a:
-            for (a2, b2) in pieces_b:
-                coeffs = tuple(x - y for x, y in zip(a1, a2))
-                if all(c == 0 for c in coeffs):
-                    continue
-                rhs = b2 - b1
-                # Normalize sign and scale for dedup.
-                lead = next(c for c in coeffs if c != 0)
-                inv = _ONE / lead
-                walls.add((tuple(c * inv for c in coeffs), rhs * inv))
-
-    add_pairs(f.pieces, f.pieces)
-    add_pairs(h.pieces, h.pieces)
-    add_pairs(f.pieces, h.pieces)
-    return sorted(walls)
-
-
-def _arrangement_vertices(walls, n):
-    rows = [primitive_row(c, r) for c, r in walls]
-    points = set()
-    for comb in combinations(rows, n):
-        sol = int_solve(comb, n)
-        if sol is not None:
-            points.add(sol)
-    return sorted(tuple(Q(v, den) for v in nums) for nums, den in points)
-
-
 def is_min_convex(f, h):
     """Decide exactly whether min{f, h} is convex.
 
-    Three stages, each exact: the convex minorant's pieces must come from the
-    union of the operands' pieces; the minorant must agree with min{f, h} at
-    every vertex of the common wall arrangement; and a final certificate pass
-    confirms no point has both operands strictly above the minorant, which
-    also covers arrangements whose cells have no vertices.
+    min{f, h} is convex exactly when it equals its largest convex minorant,
+    the hull.  Two stages, each exact: the hull's pieces must come from the
+    union of the operands' pieces; and no piece pair (q, r) of f and h may
+    have a positive gap, a point where f_q and h_r both lie strictly above
+    the hull.  The hull is below min{f, h} everywhere, and min{f, h} exceeds
+    it at x exactly when the pieces active at x have such a gap, so the gap
+    pass alone decides.  A pair in which q or r is a hull piece has no gap
+    and needs no program.
     """
     if f.dim != h.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
@@ -220,18 +194,15 @@ def _is_min_convex_pruned(fp, hp, hull):
     """is_min_convex for pruned operands, given their _hull_of_pruned."""
     if hull is None:
         return False
-    union = set(fp.pieces) | set(hp.pieces)
-    if any(piece not in union for piece in hull.pieces):
+    on_hull = set(hull.pieces)
+    if not on_hull <= set(fp.pieces) | set(hp.pieces):
         return False
-    n = fp.dim
-    for x in _arrangement_vertices(_wall_hyperplanes(fp, hp), n):
-        if min(fp(x), hp(x)) != hull(x):
-            return False
-    # Certificate: sup over x of min over hull pieces of
-    # min(f_q - hull_p, h_r - hull_p) must be <= 0 for every (q, r).
+    # For a hull piece q the row p = q of the gap program forces delta <= 0.
     for aq, bq in fp.pieces:
+        if (aq, bq) in on_hull:
+            continue
         for ar, br in hp.pieces:
-            if _gap_above_hull(aq, bq, ar, br, hull, n) > 0:
+            if (ar, br) not in on_hull and _gap_above_hull(aq, bq, ar, br, hull, fp.dim) > 0:
                 return False
     return True
 

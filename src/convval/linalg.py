@@ -38,15 +38,6 @@ def vneg(u):
     return tuple(-a for a in u)
 
 
-def vscale(k, u):
-    k = rat(k)
-    return tuple(k * a for a in u)
-
-
-def zero_vector(n):
-    return (_ZERO,) * n
-
-
 def unit_vector(n, k):
     return tuple(_ONE if i == k else _ZERO for i in range(n))
 

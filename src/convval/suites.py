@@ -135,12 +135,13 @@ class Check:
 
     `sides(**shared)` does the work a case shares across its probes and
     returns a function of the remaining inputs giving (lhs, rhs);
-    `fails(lhs, rhs)` is true when the property is broken.  `keys` names the
-    witness inputs in recorded order, `shared` the parameters of `sides`,
-    and `optional` those of them a witness may omit.
+    `fails(lhs, rhs)` is true when the property is broken.  `kinds` maps the
+    witness inputs, in recorded order, to their document kinds; `shared`
+    names the parameters of `sides`, and `optional` those of them a witness
+    may omit.
     """
 
-    keys: tuple
+    kinds: dict
     sides: object
     fails: object
     shared: tuple
@@ -156,10 +157,10 @@ _NOT_COMPARISONS = {
 }
 
 
-def _check(name, keys, fails=operator.ne):
+def _check(name, fails=operator.ne, **kinds):
     def register(sides):
         params = inspect.signature(sides).parameters.values()
-        CHECKS[name] = Check(tuple(keys.split()), sides, fails,
+        CHECKS[name] = Check(kinds, sides, fails,
                              tuple(p.name for p in params),
                              tuple(p.name for p in params if p.default is not p.empty))
         return sides
@@ -193,7 +194,7 @@ class _Bound:
         if not self.check.fails(lhs, rhs):
             return None
         inputs = {**self.inputs, **probe}
-        return witness_doc(self.name, {k: inputs[k] for k in self.check.keys if k in inputs},
+        return witness_doc(self.name, {k: inputs[k] for k in self.check.kinds if k in inputs},
                            lhs, rhs, self.note)
 
     def require(self, **probe):
@@ -237,77 +238,82 @@ def _product_valuation(spec, x, y):
     return ScalarValuation(lambda fn: a_part(fn) * b_part(fn), 2, label="probe-product"), a_part, b_part
 
 
-@_check("valuation-identity", "spec x f h fmax fmin")
+@_check("valuation-identity", spec="valuation", x="vector", f="function", h="function",
+        fmax="function", fmin="function")
 def _valuation_identity(spec, f, h, fmax, fmin):
     return lambda x: (psi_eval(spec, fmax, x) + psi_eval(spec, fmin, x),
                       psi_eval(spec, f, x) + psi_eval(spec, h, x))
 
 
-@_check("dual-epi-invariance", "spec f ell x")
+@_check("dual-epi-invariance", spec="valuation", f="function", ell="function", x="vector")
 def _dual_epi_invariance(spec, f, ell):
     shifted = add(f, ell, do_prune=False)
     return lambda x: (psi_eval(spec, shifted, x), psi_eval(spec, f, x))
 
 
-@_check("equivariance", "spec f g x")
+@_check("equivariance", spec="valuation", f="function", g="matrix", x="vector")
 def _equivariance(spec, f, g):
     fg = compose_linear(f, g)
     return lambda x: (psi_eval(spec, fg, x), psi_eval(spec, f, g.matvec(x)))
 
 
-@_check("contravariance", "spec f g x")
-@_check("contravariance-gap", "spec f g x")
+@_check("contravariance", spec="valuation", f="function", g="matrix", x="vector")
+@_check("contravariance-gap", spec="valuation", f="function", g="matrix", x="vector")
 def _contravariance(spec, f, g):
     fg = compose_linear(f, g)
     ginvt = g.inverse_transpose()
     return lambda x: (psi_eval(spec, fg, x), psi_eval(spec, f, ginvt.matvec(x)))
 
 
-@_check("homogeneity", "spec f lam x")
+@_check("homogeneity", spec="valuation", f="function", lam="rational", x="vector")
 def _homogeneity(spec, f, x):
     base = psi_eval(spec, f, x) - spec.c
     return lambda lam: (psi_eval(spec, scale(f, lam), x) - spec.c, lam * base)
 
 
-@_check("convexity-midpoint", "spec f x y", fails=operator.gt)
-@_check("lifted-linearity", "spec f x y")
+@_check("convexity-midpoint", fails=operator.gt, spec="valuation", f="function", x="vector",
+        y="vector")
+@_check("lifted-linearity", spec="valuation", f="function", x="vector", y="vector")
 def _midpoint_sides(spec, f):
     return lambda x, y: (2 * psi_eval(spec, f, tuple((a + b) / 2 for a, b in zip(x, y))),
                          psi_eval(spec, f, x) + psi_eval(spec, f, y))
 
 
-@_check("locality", "spec f modified x")
+@_check("locality", spec="valuation", f="function", modified="function", x="vector")
 def _locality(spec, f, modified):
     return lambda x: (psi_eval(spec, modified, x), psi_eval(spec, f, x))
 
 
-@_check("expand-consistency", "spec f x")
+@_check("expand-consistency", spec="valuation", f="function", x="vector")
 def _expand_consistency(spec, f):
     expanded = psi_expand(spec, f)
     return lambda x: (expanded.evaluate(x), psi_eval(spec, f, x))
 
 
-@_check("decomposition", "spec x f")
+@_check("decomposition", spec="valuation", x="vector", f="function")
 def _decomposition(spec, x):
     mu = ScalarValuation.from_valuation_spec(spec, x)
     return lambda f: (tuple(homogeneous_decompose(mu, f)),
                       (spec.c, mu(f) - spec.c) + (_ZERO,) * (spec.dim - 1))
 
 
-@_check("polarization-oracle", "spec x y f1 f2")
+@_check("polarization-oracle", spec="valuation", x="vector", y="vector", f1="function",
+        f2="function")
 def _polarization_oracle(spec, x, y):
     mu, a, b = _product_valuation(spec, x, y)
     return lambda f1, f2: (polarize(mu, 2, (f1, f2)), (a(f1) * b(f2) + a(f2) * b(f1)) / 2)
 
 
-@_check("polarization-symmetry", "spec x y f1 f2")
+@_check("polarization-symmetry", spec="valuation", x="vector", y="vector", f1="function",
+        f2="function")
 def _polarization_symmetry(spec, x, y):
     mu, _, _ = _product_valuation(spec, x, y)
     return lambda f1, f2: (polarize(mu, 2, (f1, f2), check=False),
                            polarize(mu, 2, (f2, f1), check=False))
 
 
-@_check("polarization-diagonal", "spec x y f1 f2")
+@_check("polarization-diagonal", spec="valuation", x="vector", y="vector", f1="function",
+        f2="function")
 def _polarization_diagonal(spec, x, y, f2=None):
     # Degree 2 records its case's f2, which the diagonal does not read;
     # degree 1 (no f2) polarizes psi(.)(x) - c, which must return the map.
@@ -318,13 +324,13 @@ def _polarization_diagonal(spec, x, y, f2=None):
     return lambda f1: (polarize(mu, 2, (f1, f1), check=False), mu(f1))
 
 
-@_check("lifted-pairing", "spec f x")
+@_check("lifted-pairing", spec="valuation", f="function", x="vector")
 def _lifted_pairing(spec, f):
     basis_values = tuple(psi_eval(spec, f, unit_vector(spec.dim, j)) for j in range(spec.dim))
     return lambda x: (lift_vector_map(lambda _fn: basis_values, f, x), psi_eval(spec, f, x))
 
 
-@_check("cut-identity", "kind P w t u")
+@_check("cut-identity", kind="str", P="polytope", w="vector", t="rational", u="vector")
 def _cut_identity(kind, P, w, t):
     make = SupportEvaluator.of_difference if kind == "difference" else SupportEvaluator.of_projection
     below, above, section = (make(K) for K in cut_pair(P, w, t))
@@ -332,17 +338,17 @@ def _cut_identity(kind, P, w, t):
     return lambda u: (below.value(u) + above.value(u), body.value(u) + section.value(u))
 
 
-@_check("difference-exact", "P expected")
+@_check("difference-exact", P="polytope", expected="polytope")
 def _difference_exact(P, expected):
     return lambda: (difference_body(P), expected)
 
 
-@_check("volume-ratio", "P factor")
+@_check("volume-ratio", P="polytope", factor="int")
 def _volume_ratio(P, factor):
     return lambda: (volume(_memo(difference_body, P)), factor * volume(P))
 
 
-@_check("projection-exact", "P u expected")
+@_check("projection-exact", P="polytope", u="vector", expected="rational")
 def _projection_exact(P):
     return lambda u, expected: (_memo(projection_body_support, P, u), expected)
 
@@ -351,7 +357,7 @@ def _mc_strays(exact, estimate):
     return abs(estimate.value - float(exact)) > MC_TOLERANCE * float(exact)
 
 
-@_check("projection-mc", "P axis samples path", fails=_mc_strays)
+@_check("projection-mc", fails=_mc_strays, P="polytope", axis="int", samples="int", path="str")
 def _projection_mc(P, axis, samples, path):
     exact = _memo(projection_body_support, P, unit_vector(P.dim, axis))
     return lambda: (exact, _Estimate(mc_projection_area(P, axis, samples, random.Random(path))))
@@ -779,10 +785,14 @@ def replay_witness(doc):
     raw = doc.get("inputs", {})
     if not isinstance(raw, dict):
         raise ParseError("expected an object of named inputs", "inputs")
-    for key in raw:
-        if key not in rule.keys:
+    for key, value in raw.items():
+        kind = rule.kinds.get(key)
+        if kind is None:
             raise ParseError(f"check {check!r} takes no such input", f"inputs.{key}")
-    for key in rule.keys:
+        if isinstance(value, dict) and value.get("kind") != kind:
+            raise ParseError(f"check {check!r} takes a {kind} here, not {value.get('kind')!r}",
+                             f"inputs.{key}")
+    for key in rule.kinds:
         if key not in raw and key not in rule.optional:
             raise ParseError(f"check {check!r} needs this input", f"inputs.{key}")
     inputs = {k: value_from_doc(v, where=f"inputs.{k}") for k, v in raw.items()}

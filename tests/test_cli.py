@@ -16,7 +16,7 @@ from convval.io import (
     valuation_spec_to_doc,
     witness_doc,
 )
-from convval import Polytope
+from convval import Polytope, difference_body
 
 
 @pytest.fixture
@@ -285,6 +285,34 @@ def test_replay_with_missing_or_unexpected_input_exits_two(capsys, files):
         code, out, err = run(capsys, "replay", unexpected)
         assert code == 2
         assert err.startswith(f"error: {where}: ")
+
+
+def test_replay_with_wrong_input_kind_or_valueless_scalar_exits_two(capsys, files):
+    # The kind of an input is per check: `expected` is a polytope for
+    # difference-exact and a rational for projection-exact.
+    gap = run_suite("thm-b", seed=1, trials=1).exhibits[0]
+    square = Polytope.hull([(Q(a), Q(b)) for a in (0, 1) for b in (0, 1)], dim=2)
+    D = difference_body(square)
+    diff = witness_doc("difference-exact", {"P": square, "expected": D}, D, D)
+    proj = witness_doc("projection-exact", {"P": square, "u": (Q(1), Q(0)), "expected": Q(1)},
+                       Q(1), Q(1))
+    ratio = witness_doc("volume-ratio", {"P": square, "factor": 4}, Q(4), Q(4))
+    bad = files["dir"] / "bad_kind.json"
+    for doc, key, value, where in (
+        (gap, "spec", {"kind": "int", "value": 1}, "inputs.spec"),
+        (diff, "expected", proj["inputs"]["expected"], "inputs.expected"),
+        (proj, "expected", diff["inputs"]["expected"], "inputs.expected"),
+        (ratio, "factor", {"kind": "int"}, "inputs.factor.value"),
+        (ratio, "factor", {"kind": "int", "value": "abc"}, "inputs.factor.value"),
+        (ratio, "factor", {"kind": "bool"}, "inputs.factor"),
+    ):
+        bad.write_text(json.dumps(dict(doc, inputs=dict(doc["inputs"], **{key: value}))))
+        code, out, err = run(capsys, "replay", bad)
+        assert code == 2, (key, value)
+        assert err.startswith(f"error: {where}: ") and "Traceback" not in err, err
+    for doc in (gap, diff, proj, ratio):
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "replay", bad)[0] == 0, doc["check"]
 
 
 def test_falsify_witness_is_the_thm_b_exhibit(capsys, tmp_path):

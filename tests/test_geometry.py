@@ -11,7 +11,7 @@ from convval import MaxAffineFn, Q, is_min_convex, min_convex_hull, prune
 from convval import _geometry, lifted
 from convval._geometry import int_solve, primitive_row, vertices_of_hrep
 from convval.errors import CapabilityLimit
-from convval.generators import rand_rational, rng_for
+from convval.generators import rand_hinge_pair, rand_rational, rng_for
 from convval.linalg import dot
 
 from conftest import eval_all_pieces, grid_points
@@ -188,15 +188,66 @@ def _oracle_arrangement(walls, n):
     return sorted(points)
 
 
-def test_arrangement_vertices_match_rational_solve():
-    checked = 0
-    for i in range(300):
-        fp, hp = _pair(12, i)
-        walls = lifted._wall_hyperplanes(fp, hp)
-        got = lifted._arrangement_vertices(walls, fp.dim)
-        assert got == _oracle_arrangement(walls, fp.dim), (i, fp, hp)
-        checked += len(got)
-    assert checked >= 300
+def _wall_hyperplanes(f, h):
+    """Distinct walls {p_i = p_j} over pieces of f, of h, and across."""
+    walls = set()
+
+    def add_pairs(pieces_a, pieces_b):
+        for (a1, b1) in pieces_a:
+            for (a2, b2) in pieces_b:
+                coeffs = tuple(x - y for x, y in zip(a1, a2))
+                if all(c == 0 for c in coeffs):
+                    continue
+                rhs = b2 - b1
+                # Normalize sign and scale for dedup.
+                lead = next(c for c in coeffs if c != 0)
+                inv = 1 / lead
+                walls.add((tuple(c * inv for c in coeffs), rhs * inv))
+
+    add_pairs(f.pieces, f.pieces)
+    add_pairs(h.pieces, h.pieces)
+    add_pairs(f.pieces, h.pieces)
+    return sorted(walls)
+
+
+def _three_stage_min_convex(fp, hp):
+    """The former is_min_convex: the piece-union check, the hull against
+    min{f, h} at every vertex of the wall arrangement, then the gap program
+    over every piece pair, with no pair skipped."""
+    hull = lifted._hull_of_pruned(fp, hp)
+    if hull is None:
+        return False
+    union = set(fp.pieces) | set(hp.pieces)
+    if any(piece not in union for piece in hull.pieces):
+        return False
+    for x in _oracle_arrangement(_wall_hyperplanes(fp, hp), fp.dim):
+        if min(fp(x), hp(x)) != hull(x):
+            return False
+    return all(lifted._gap_above_hull(aq, bq, ar, br, hull, fp.dim) <= 0
+               for aq, bq in fp.pieces for ar, br in hp.pieces)
+
+
+def test_is_min_convex_matches_three_stage_oracle():
+    seen = Counter()
+    pairs = [_pair(12, i) for i in range(600)]
+    rng = rng_for(12, "hinge-oracle")
+    hinges = [rand_hinge_pair(rng, 1 + i % 3, 3) for i in range(60)]
+    pairs += [(prune(p.f), prune(p.h)) for p in hinges]
+    for i, (fp, hp) in enumerate(pairs):
+        got = is_min_convex(fp, hp)
+        assert got == _three_stage_min_convex(fp, hp), (i, fp, hp)
+        seen[f"dim-{fp.dim}"] += 1
+        hull = min_convex_hull(fp, hp)
+        seen["no-minorant" if hull is None else got] += 1
+        union = set(fp.pieces) | set(hp.pieces)
+        # Rejected by the gap pass rather than by the union check.
+        seen["gap-reject"] += hull is not None and not got and set(hull.pieces) <= union
+        seen["shared"] += bool(set(fp.pieces) & set(hp.pieces))
+        seen["translate"] += ([a for a, _ in fp.pieces] == [a for a, _ in hp.pieces] and
+                              len({b2 - b1 for (_, b1), (_, b2) in zip(fp.pieces, hp.pieces)}) == 1)
+    for key in ("dim-1", "dim-2", "dim-3", True, False, "no-minorant", "gap-reject", "shared",
+                "translate"):
+        assert seen[key] >= 10, (key, seen)
 
 
 def test_min_convex_hull_below_min_on_grid():

@@ -140,6 +140,26 @@ def test_value_doc_unknown_kind():
         value_from_doc({"kind": "mystery", "value": 1})
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "bool"},
+    {"kind": "int"},
+    {"kind": "str"},
+    {"kind": "vector"},
+    {"kind": "rational"},
+    {"kind": "int", "value": "abc"},
+    {"kind": "int", "value": 1.5},
+    {"kind": "int", "value": True},
+    {"kind": "bool", "value": 1},
+    {"kind": "str", "value": 3},
+    {"kind": "vector", "value": "1/2"},
+    {"kind": "rational", "value": 2},
+])
+def test_scalar_value_docs_need_a_well_typed_value(doc):
+    with pytest.raises(ParseError) as info:
+        value_from_doc(doc, where="inputs.x")
+    assert info.value.where == "inputs.x.value"
+
+
 def test_witness_doc_replayable_shape():
     w = witness_doc(
         "example-check",

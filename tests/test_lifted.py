@@ -24,6 +24,8 @@ from convval import (
     min_convex_hull,
     prune,
 )
+from convval import lifted
+from convval.generators import paraboloid_tangents
 from convval.linalg import dot
 
 from conftest import grid_points, hinge
@@ -274,6 +276,29 @@ def test_is_min_convex_translate_true():
     # min(f, f + 1) = f, trivially convex.
     f = mf(1, ((1,), 0), ((-1,), 0))
     assert is_min_convex(f, f.offset(Q(1)))
+
+
+def test_is_min_convex_skips_hull_pieces_and_stops_at_first_gap(monkeypatch):
+    gaps = []
+    real = lifted._gap_above_hull
+
+    def counted(*args):
+        gaps.append(real(*args))
+        return gaps[-1]
+
+    monkeypatch.setattr(lifted, "_gap_above_hull", counted)
+    # min{f, f + 1} = f: every piece of f is a hull piece, so no pair has a gap.
+    f = paraboloid_tangents(dim=2, grid=2)
+    assert len(prune(f).pieces) >= 16
+    assert is_min_convex(f, f.offset(Q(1)))
+    assert gaps == []
+    # min{f, h} rises along h from -1 until f caps it at 3, so the hull is the
+    # constant -1; four pairs have no hull piece and the first has a gap.
+    f = mf(1, ((-1,), 4), ((0,), 3))
+    h = mf(1, ((0,), -1), ((2,), 0), ((3,), -2))
+    assert min_convex_hull(f, h) == mf(1, ((0,), -1))
+    assert not is_min_convex(f, h)
+    assert len(gaps) == 1 and gaps[0] > 0
 
 
 def test_min_convex_hull_is_largest_convex_minorant():

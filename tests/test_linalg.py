@@ -12,9 +12,7 @@ from convval.linalg import (
     unit_vector,
     vadd,
     vneg,
-    vscale,
     vsub,
-    zero_vector,
 )
 
 
@@ -25,8 +23,6 @@ def test_vector_helpers():
     assert vadd(u, v) == (Q(4), Q(1))
     assert vsub(u, v) == (Q(-2), Q(3))
     assert vneg(u) == (Q(-1), Q(-2))
-    assert vscale(Q(1, 2), u) == (Q(1, 2), Q(1))
-    assert zero_vector(3) == (Q(0), Q(0), Q(0))
     assert unit_vector(3, 1) == (Q(0), Q(1), Q(0))
 
 
