@@ -10,17 +10,21 @@ enumeration is fraction-free from start to finish: each row is scaled once
 to a primitive integer row, every candidate system is solved by int_solve,
 and only the accepted vertices are turned into rationals.
 
-The algorithms are exhaustive rather than incremental: supporting-hyperplane
-search over point subsets for facets, recursive facet pyramids for volume,
-active-set enumeration for the vertices of an H-polyhedron.  Inputs in this
-package stay small (dimension at most four plus one lifted coordinate, a few
-dozen points), where exhaustive exact search is both simple and fast enough.
+The algorithms are exhaustive rather than incremental: one
+supporting-hyperplane search over generator subsets (_supporting_hyperplanes)
+for both the facets of a hull and the lifted H-representation of a hull plus
+a vertical ray, recursive facet pyramids for volume, active-set enumeration
+for the vertices of an H-polyhedron.  Both enumerations raise CapabilityLimit
+past a candidate budget (MAX_FACET_CANDIDATES hyperplanes,
+MAX_HREP_CANDIDATES active sets).  Inputs in this package stay small
+(dimension at most four plus one lifted coordinate, a few dozen points),
+where exhaustive exact search is both simple and fast enough.
 """
 
 import math
 
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 
 from .errors import CapabilityLimit
 from .linalg import (dot, int_rref, int_scaled, matrix_rank, nullspace, pivot_columns,
@@ -75,51 +79,48 @@ def affine_rank(points):
     return matrix_rank([vsub(p, base) for p in points[1:]])
 
 
-# Most point subsets facet_enum will try (35-40 us each for 40 points in
-# 3-D or 24 in 4-D, so a few seconds).  The tests reach at most 2,024 (24
-# points in 3-D), the classical workload 286 and query 120; thm-a and
-# transform make no call.
+# Most candidate hyperplanes _supporting_hyperplanes will try (35-40 us each
+# for 40 points in 3-D or 24 in 4-D, so a few seconds).  The tests reach at
+# most 2,600 (25 lifted points and the ray in 3-D), the classical workload
+# 364, query 120 and transform 35; thm-a makes no call.
 MAX_FACET_CANDIDATES = 100_000
 
 
-def facet_enum(points, d):
-    """Facets of the convex hull of a full-dimensional point set.
+def _supporting_hyperplanes(points, d, ray=None):
+    """Supporting hyperplanes of conv(points) + the ray, spanned by generators.
 
-    Returns a list of (normal, support) pairs where normal is a primitive
-    integer outward normal and support is the frozenset of indices of input
-    points lying on the facet.  Exhaustive supporting-hyperplane search over
-    d-subsets; exact, and quadratic work per candidate hyperplane.  Raises
-    CapabilityLimit when there are more than MAX_FACET_CANDIDATES subsets
-    to try.
+    Each candidate is d generators, at least one a point, scaled to integers
+    by one common denominator; it is kept when every point lies on one
+    closed side and the ray points into that side.  Returns (ints, den,
+    planes): the scaled points, the denominator, and the distinct (primitive
+    outward normal, offset) pairs in the order found, <normal, p> <= offset
+    for every scaled point p.  Raises CapabilityLimit past
+    MAX_FACET_CANDIDATES candidates, and ValueError when a candidate holds
+    every generator (they are not full-dimensional).
     """
-    count = math.comb(len(points), d)
+    gens = list(points) if ray is None else [*points, ray]
+    count = math.comb(len(gens), d)
     if count > MAX_FACET_CANDIDATES:
         raise CapabilityLimit(
-            f"facet enumeration would try {count} point subsets, "
+            f"supporting-hyperplane search would try {count} candidates, "
             f"more than the supported {MAX_FACET_CANDIDATES}"
         )
-    ints, _ = int_scaled(points)
-    m = len(ints)
-    if d == 1:
-        vals = [p[0] for p in ints]
-        lo, hi = min(vals), max(vals)
-        if lo == hi:
-            raise ValueError("facet enumeration requires a full-dimensional set")
-        return [
-            ((1,), frozenset(i for i, v in enumerate(vals) if v == hi)),
-            ((-1,), frozenset(i for i, v in enumerate(vals) if v == lo)),
-        ]
+    gens, den = int_scaled(gens)
+    m = len(points)
+    ints = gens[:m]
     found = {}
-    for comb in combinations(range(m), d):
-        base = ints[comb[0]]
-        vectors = [tuple(ints[i][j] - base[j] for j in range(d)) for i in comb[1:]]
+    for comb in combinations(range(len(gens)), d):
+        if comb[0] == m:
+            continue
+        base = gens[comb[0]]
+        vectors = [gens[i] if i == m else tuple(map(sub, gens[i], base)) for i in comb[1:]]
         normal = _cross_normal(vectors, d)
         if normal is None:
             continue
-        offset = sum(n * v for n, v in zip(normal, base))
+        offset = sum(map(mul, normal, base))
         pos = neg = False
         for p in ints:
-            s = sum(n * v for n, v in zip(normal, p)) - offset
+            s = sum(map(mul, normal, p)) - offset
             if s > 0:
                 pos = True
             elif s < 0:
@@ -128,19 +129,37 @@ def facet_enum(points, d):
                 break
         if pos and neg:
             continue
+        ray_side = sum(map(mul, normal, gens[m])) if ray is not None else 0
+        if not (pos or neg):
+            if not ray_side:
+                raise ValueError("the points are not full-dimensional")
+            pos = ray_side > 0
+        elif ray_side and (ray_side > 0) != pos:
+            continue
         if pos:
             normal = tuple(-n for n in normal)
-            offset = -offset
         normal = _primitive(normal)
-        offset = sum(n * v for n, v in zip(normal, base))
-        key = (normal, offset)
-        if key in found:
-            continue
-        support = frozenset(
-            i for i, p in enumerate(ints) if sum(n * v for n, v in zip(normal, p)) == offset
-        )
-        found[key] = support
-    return [(normal, support) for (normal, _), support in found.items()]
+        found.setdefault((normal, sum(map(mul, normal, base))), None)
+    return ints, den, list(found)
+
+
+def facet_enum(points, d):
+    """Facets of the convex hull of a full-dimensional point set.
+
+    Returns a list of (normal, support) pairs where normal is a primitive
+    integer outward normal and support is the frozenset of indices of input
+    points lying on the facet.  The facets are the hyperplanes
+    _supporting_hyperplanes finds over d-subsets of the points.  Raises
+    CapabilityLimit past MAX_FACET_CANDIDATES subsets, and ValueError when
+    the points are not full-dimensional.
+    """
+    ints, _, planes = _supporting_hyperplanes(points, d)
+    if not planes:
+        raise ValueError("the points are not full-dimensional")
+    return [
+        (normal, frozenset(i for i, p in enumerate(ints) if sum(map(mul, normal, p)) == offset))
+        for normal, offset in planes
+    ]
 
 
 def _drop_coordinate(p, k):
@@ -273,82 +292,18 @@ def hrep_with_vertical_ray(points):
 
     Returns (inequalities, equalities), each a list of (coeffs, rhs) meaning
     <coeffs, x> <= rhs (== for equalities), in ambient coordinates.  Works for
-    point sets of any affine dimension via an exact chart.
+    point sets of any affine dimension via an exact chart: the inequalities
+    are the chart's supporting hyperplanes (_supporting_hyperplanes over the
+    chart points and the chart ray), lifted back.  Raises CapabilityLimit
+    when there are more than MAX_FACET_CANDIDATES candidates.
     """
     d = len(points[0])
     ray = tuple([_ZERO] * (d - 1) + [_ONE])
     chart = Chart(points, rays=[ray])
-    eqs = chart.equalities()
-    k = chart.dim
     chart_pts = [chart.coords_of_point(p) for p in points]
-    chart_ray = chart.coords_of_direction(ray)
-    ineqs = []
-    seen = set()
-
-    def emit(coeffs, rhs):
-        key = primitive_row(coeffs, rhs)
-        if key in seen:
-            return
-        seen.add(key)
-        amb, amb_rhs = chart.lift_inequality(coeffs, rhs)
-        ineqs.append((amb, amb_rhs))
-
-    if k == 1:
-        # A single lifted point plus the ray: one floor inequality.
-        vals = [p[0] for p in chart_pts]
-        r = chart_ray[0]
-        if r > 0:
-            emit((-_ONE,), -min(vals))
-        else:
-            emit((_ONE,), max(vals))
-        return ineqs, eqs
-
-    scaled_pts, _ = int_scaled(chart_pts)
-    iray = int_scaled([chart_ray])[0][0]
-    m = len(scaled_pts)
-
-    # Candidate facets spanned by k points (floor facets, must respect the
-    # ray) and by k-1 points plus the ray (vertical walls).
-    for comb in combinations(range(m), k):
-        base = scaled_pts[comb[0]]
-        vectors = [tuple(scaled_pts[i][j] - base[j] for j in range(k)) for i in comb[1:]]
-        normal = _cross_normal(vectors, k)
-        if normal is None:
-            continue
-        vals = [sum(n * v for n, v in zip(normal, p)) for p in scaled_pts]
-        ref = sum(n * v for n, v in zip(normal, base))
-        if any(v > ref for v in vals) and any(v < ref for v in vals):
-            continue
-        if any(v > ref for v in vals):
-            normal = tuple(-n for n in normal)
-        ray_side = sum(n * v for n, v in zip(normal, iray))
-        if ray_side > 0:
-            if any(v != ref for v in vals):
-                continue
-            # All points on the plane; the other orientation is the valid one.
-            normal = tuple(-n for n in normal)
-        qnormal = tuple(Q(n) for n in normal)
-        emit(qnormal, max(dot(qnormal, p) for p in chart_pts))
-    for comb in combinations(range(m), k - 1):
-        if not comb:
-            continue
-        base = scaled_pts[comb[0]]
-        vectors = [tuple(scaled_pts[i][j] - base[j] for j in range(k)) for i in comb[1:]]
-        vectors.append(iray)
-        normal = _cross_normal(vectors, k)
-        if normal is None:
-            continue
-        vals = [sum(n * v for n, v in zip(normal, p)) for p in scaled_pts]
-        ref = sum(n * v for n, v in zip(normal, base))
-        if any(v > ref for v in vals) and any(v < ref for v in vals):
-            continue
-        if all(v == ref for v in vals):
-            continue
-        if any(v > ref for v in vals):
-            normal = tuple(-n for n in normal)
-        qnormal = tuple(Q(n) for n in normal)
-        emit(qnormal, max(dot(qnormal, p) for p in chart_pts))
-    return ineqs, eqs
+    _, den, planes = _supporting_hyperplanes(chart_pts, chart.dim, chart.coords_of_direction(ray))
+    ineqs = [chart.lift_inequality(normal, Q(offset, den)) for normal, offset in planes]
+    return ineqs, chart.equalities()
 
 
 def primitive_row(coeffs, rhs):

@@ -49,14 +49,7 @@ class Polytope:
                 raise DimensionMismatch(f"point has length {len(p)}, expected {dim}")
         if not _canonical:
             pts = sorted(set(pts))
-            if len(pts) > 1:
-                rank = affine_rank(pts)
-                if rank == 0:
-                    pts = pts[:1]
-                elif rank == dim:
-                    pts = [pts[i] for i in extreme_indices(pts)]
-                else:
-                    pts = _lower_rank_extremes(pts, rank)
+            pts = [pts[i] for i in extreme_indices(pts)]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", tuple(sorted(pts)))
         object.__setattr__(self, "_cache", {})
@@ -125,16 +118,6 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={[tuple(map(str, v)) for v in self.vertices]})"
-
-
-def _lower_rank_extremes(pts, rank):
-    """Extreme points of a set whose affine hull has deficient dimension."""
-    from ._geometry import Chart
-
-    chart = Chart(pts)
-    coords = [chart.coords_of_point(p) for p in pts]
-    kept = extreme_indices(coords)
-    return [pts[i] for i in kept]
 
 
 def minkowski_sum(K, L):

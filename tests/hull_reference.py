@@ -1,0 +1,193 @@
+"""Reference hull code, independent of convval._geometry._supporting_hyperplanes.
+
+These are the routines the package used before facets and lifted
+H-representations shared one supporting-hyperplane search, and before
+Polytope took its extreme points through one filter at every affine rank:
+facet enumeration with its own one-dimensional case, the lifted
+H-representation with its two candidate loops (floor facets, then vertical
+walls) and its one-dimensional chart case, and the chart detour for sets of
+deficient affine rank.  The bodies are kept as they were; `polytope_vertices`
+is the old canonicalization of Polytope.__init__, around them.  The
+differential tests in test_hull.py compare the package with them.
+"""
+
+import math
+
+from itertools import combinations
+
+from convval._geometry import Chart, _cross_normal, _primitive, affine_rank, primitive_row
+from convval.errors import CapabilityLimit
+from convval.linalg import dot, int_scaled
+from convval.maxaffine import extreme_indices
+from convval.rational import Q
+
+_ZERO = Q(0)
+_ONE = Q(1)
+
+MAX_FACET_CANDIDATES = 100_000
+
+
+def facet_enum(points, d):
+    """Facets of the convex hull of a full-dimensional point set.
+
+    Returns a list of (normal, support) pairs where normal is a primitive
+    integer outward normal and support is the frozenset of indices of input
+    points lying on the facet.  Exhaustive supporting-hyperplane search over
+    d-subsets; exact, and quadratic work per candidate hyperplane.  Raises
+    CapabilityLimit when there are more than MAX_FACET_CANDIDATES subsets
+    to try.
+    """
+    count = math.comb(len(points), d)
+    if count > MAX_FACET_CANDIDATES:
+        raise CapabilityLimit(
+            f"facet enumeration would try {count} point subsets, "
+            f"more than the supported {MAX_FACET_CANDIDATES}"
+        )
+    ints, _ = int_scaled(points)
+    m = len(ints)
+    if d == 1:
+        vals = [p[0] for p in ints]
+        lo, hi = min(vals), max(vals)
+        if lo == hi:
+            raise ValueError("facet enumeration requires a full-dimensional set")
+        return [
+            ((1,), frozenset(i for i, v in enumerate(vals) if v == hi)),
+            ((-1,), frozenset(i for i, v in enumerate(vals) if v == lo)),
+        ]
+    found = {}
+    for comb in combinations(range(m), d):
+        base = ints[comb[0]]
+        vectors = [tuple(ints[i][j] - base[j] for j in range(d)) for i in comb[1:]]
+        normal = _cross_normal(vectors, d)
+        if normal is None:
+            continue
+        offset = sum(n * v for n, v in zip(normal, base))
+        pos = neg = False
+        for p in ints:
+            s = sum(n * v for n, v in zip(normal, p)) - offset
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        if pos:
+            normal = tuple(-n for n in normal)
+            offset = -offset
+        normal = _primitive(normal)
+        offset = sum(n * v for n, v in zip(normal, base))
+        key = (normal, offset)
+        if key in found:
+            continue
+        support = frozenset(
+            i for i, p in enumerate(ints) if sum(n * v for n, v in zip(normal, p)) == offset
+        )
+        found[key] = support
+    return [(normal, support) for (normal, _), support in found.items()]
+
+
+def hrep_with_vertical_ray(points):
+    """H-representation of conv(points) + the upward ray in the last coordinate.
+
+    Returns (inequalities, equalities), each a list of (coeffs, rhs) meaning
+    <coeffs, x> <= rhs (== for equalities), in ambient coordinates.  Works for
+    point sets of any affine dimension via an exact chart.
+    """
+    d = len(points[0])
+    ray = tuple([_ZERO] * (d - 1) + [_ONE])
+    chart = Chart(points, rays=[ray])
+    eqs = chart.equalities()
+    k = chart.dim
+    chart_pts = [chart.coords_of_point(p) for p in points]
+    chart_ray = chart.coords_of_direction(ray)
+    ineqs = []
+    seen = set()
+
+    def emit(coeffs, rhs):
+        key = primitive_row(coeffs, rhs)
+        if key in seen:
+            return
+        seen.add(key)
+        amb, amb_rhs = chart.lift_inequality(coeffs, rhs)
+        ineqs.append((amb, amb_rhs))
+
+    if k == 1:
+        # A single lifted point plus the ray: one floor inequality.
+        vals = [p[0] for p in chart_pts]
+        r = chart_ray[0]
+        if r > 0:
+            emit((-_ONE,), -min(vals))
+        else:
+            emit((_ONE,), max(vals))
+        return ineqs, eqs
+
+    scaled_pts, _ = int_scaled(chart_pts)
+    iray = int_scaled([chart_ray])[0][0]
+    m = len(scaled_pts)
+
+    # Candidate facets spanned by k points (floor facets, must respect the
+    # ray) and by k-1 points plus the ray (vertical walls).
+    for comb in combinations(range(m), k):
+        base = scaled_pts[comb[0]]
+        vectors = [tuple(scaled_pts[i][j] - base[j] for j in range(k)) for i in comb[1:]]
+        normal = _cross_normal(vectors, k)
+        if normal is None:
+            continue
+        vals = [sum(n * v for n, v in zip(normal, p)) for p in scaled_pts]
+        ref = sum(n * v for n, v in zip(normal, base))
+        if any(v > ref for v in vals) and any(v < ref for v in vals):
+            continue
+        if any(v > ref for v in vals):
+            normal = tuple(-n for n in normal)
+        ray_side = sum(n * v for n, v in zip(normal, iray))
+        if ray_side > 0:
+            if any(v != ref for v in vals):
+                continue
+            # All points on the plane; the other orientation is the valid one.
+            normal = tuple(-n for n in normal)
+        qnormal = tuple(Q(n) for n in normal)
+        emit(qnormal, max(dot(qnormal, p) for p in chart_pts))
+    for comb in combinations(range(m), k - 1):
+        if not comb:
+            continue
+        base = scaled_pts[comb[0]]
+        vectors = [tuple(scaled_pts[i][j] - base[j] for j in range(k)) for i in comb[1:]]
+        vectors.append(iray)
+        normal = _cross_normal(vectors, k)
+        if normal is None:
+            continue
+        vals = [sum(n * v for n, v in zip(normal, p)) for p in scaled_pts]
+        ref = sum(n * v for n, v in zip(normal, base))
+        if any(v > ref for v in vals) and any(v < ref for v in vals):
+            continue
+        if all(v == ref for v in vals):
+            continue
+        if any(v > ref for v in vals):
+            normal = tuple(-n for n in normal)
+        qnormal = tuple(Q(n) for n in normal)
+        emit(qnormal, max(dot(qnormal, p) for p in chart_pts))
+    return ineqs, eqs
+
+
+def _lower_rank_extremes(pts, rank):
+    """Extreme points of a set whose affine hull has deficient dimension."""
+    chart = Chart(pts)
+    coords = [chart.coords_of_point(p) for p in pts]
+    kept = extreme_indices(coords)
+    return [pts[i] for i in kept]
+
+
+def polytope_vertices(dim, vertices):
+    """The sorted extreme points Polytope(dim, vertices) kept before."""
+    pts = sorted(set(tuple(Q(v) for v in p) for p in vertices))
+    if len(pts) > 1:
+        rank = affine_rank(pts)
+        if rank == 0:
+            pts = pts[:1]
+        elif rank == dim:
+            pts = [pts[i] for i in extreme_indices(pts)]
+        else:
+            pts = _lower_rank_extremes(pts, rank)
+    return tuple(sorted(pts))

@@ -8,10 +8,7 @@ criterion can compare a fresh second run against the cached first one.
 import itertools
 import time
 
-import pytest
-
 from convval import (
-    MaxAffineFn,
     Polytope,
     Q,
     conjugate,

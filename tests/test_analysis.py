@@ -20,7 +20,6 @@ from convval import (
     locality_check,
     max_of,
     polarize,
-    prune,
     psi_eval,
     scale,
     valuation_identity_check,

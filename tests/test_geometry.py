@@ -2,6 +2,8 @@
 and against the rational Gauss-Jordan enumerator it replaced on a seeded
 corpus of lifted epigraph pairs."""
 
+import math
+
 from collections import Counter
 from itertools import combinations
 
@@ -11,7 +13,7 @@ from convval import MaxAffineFn, Q, is_min_convex, min_convex_hull, prune
 from convval import _geometry, lifted
 from convval._geometry import int_solve, primitive_row, vertices_of_hrep
 from convval.errors import CapabilityLimit
-from convval.generators import rand_hinge_pair, rand_rational, rng_for
+from convval.generators import paraboloid_tangents, rand_hinge_pair, rand_rational, rng_for
 from convval.linalg import dot
 
 from conftest import eval_all_pieces, grid_points
@@ -57,6 +59,44 @@ def test_facet_budget_raises_before_enumerating(monkeypatch):
     assert count > _geometry.MAX_FACET_CANDIDATES
     with pytest.raises(CapabilityLimit, match=str(count)):
         _geometry.facet_enum(points, 3)
+
+
+def test_lifted_hrep_budget_raises_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(_geometry, "_cross_normal", refuse)
+    monkeypatch.setattr(_geometry, "int_scaled", refuse)
+    f = paraboloid_tangents(4, grid=1)
+    points = [a + (-b,) for a, b in f.pieces]
+    # 81 points and the ray span the lifted R^5: C(82, 5) candidates.
+    count = math.comb(82, 5)
+    assert len(points) == 81 and count > _geometry.MAX_FACET_CANDIDATES
+    with pytest.raises(CapabilityLimit, match=str(count)):
+        _geometry.hrep_with_vertical_ray(points)
+
+
+def test_supporting_hyperplanes_need_a_point_in_every_candidate():
+    # The ray alone spans the hyperplane x = 1, which every point lies above;
+    # only the floor x >= 5 through a point supports conv{5, 6} + ray.
+    ints, den, planes = _geometry._supporting_hyperplanes([(Q(5),), (Q(6),)], 1, (Q(1),))
+    assert (ints, den, planes) == ([(5,), (6,)], 1, [((-1,), -5)])
+    _, den, planes = _geometry._supporting_hyperplanes([(Q(1, 2), Q(0)), (Q(3, 2), Q(1))], 2,
+                                                       (Q(0), Q(1, 3)))
+    # Scaled by 6: the floor through both points and the two vertical walls.
+    assert den == 6 and sorted(planes) == [((-1, 0), -3), ((1, -1), 3), ((1, 0), 9)]
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 1), (2, 2)],
+    [(1, 2)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],
+    [(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)],
+], ids=["collinear-2d", "point-2d", "coplanar-3d", "collinear-3d"])
+def test_facet_enum_refuses_lower_dimensional_sets(points):
+    points = [tuple(Q(v) for v in p) for p in points]
+    with pytest.raises(ValueError, match="full-dimensional"):
+        _geometry.facet_enum(points, len(points[0]))
 
 
 def test_size_budget_raises_before_enumerating(monkeypatch):

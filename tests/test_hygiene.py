@@ -1,31 +1,45 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package or of the tests imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "convval"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "convval").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_from_imports(source):
-    """Names bound by module-level `from ... import` and never referenced."""
+def unused_imports(source):
+    """Names bound by module-level imports and never referenced.
+
+    `import a.b` binds `a`; `import a.b as c` and `from a import b as c`
+    bind `c`.
+    """
     tree = ast.parse(source)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
 def test_checker_sees_unused_and_used_names():
-    source = "from a import b, c as d\nfrom e import f\n\ndef g():\n    return d.x + f\n"
-    assert unused_from_imports(source) == [(1, "b")]
+    source = (
+        "import os\nimport a.b\nimport e.f as g\nfrom a import b, c as d\nfrom e import f\n\n"
+        "def h():\n    return d.x + f + a.b.y\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (3, "g"), (4, "b")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# Package modules keep their bare file names as ids; test files are tests/<name>.
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_from_imports(path):
-    assert unused_from_imports(path.read_text(encoding="utf-8")) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

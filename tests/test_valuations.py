@@ -14,7 +14,6 @@ from convval import (
     check_equivariance,
     compose_linear,
     lift_vector_map,
-    prune,
     psi_eval,
     psi_expand,
     validate_measure,
