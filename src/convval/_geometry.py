@@ -28,7 +28,7 @@ from operator import mul, sub
 
 from .errors import CapabilityLimit
 from .linalg import (dot, int_rref, int_scaled, matrix_rank, nullspace, pivot_columns,
-                     solve_square, vsub)
+                     solve_square, unit_vector, vsub)
 from .rational import Q
 
 _ZERO = Q(0)
@@ -257,14 +257,17 @@ class Chart:
         self.dim = len(self.basis)
         self.ambient_dim = d
         self.rows_used = pivot_columns(self.basis, d)
-        self._square = [[vec[j] for vec in self.basis] for j in self.rows_used]
+        # The basis on the used rows is square and invertible.  Its inverse,
+        # solved once column by column and kept as integer rows over one
+        # denominator, serves every coordinate and every lift.
+        square = [[vec[j] for vec in self.basis] for j in self.rows_used]
+        cols = [solve_square(square, unit_vector(self.dim, k)) for k in range(self.dim)]
+        self._inv, self._den = int_scaled(list(zip(*cols)))
 
     def coords_of_direction(self, vec):
-        rhs = [vec[j] for j in self.rows_used]
-        sol = solve_square(self._square, rhs)
-        if sol is None:
-            raise ValueError("direction outside the chart span")
-        return sol
+        (v,), dv = int_scaled([[vec[j] for j in self.rows_used]])
+        den = self._den * dv
+        return tuple(Q(sum(map(mul, row, v)), den) for row in self._inv)
 
     def coords_of_point(self, p):
         return self.coords_of_direction(vsub(p, self.origin))
@@ -278,12 +281,12 @@ class Chart:
 
     def lift_inequality(self, coeffs, rhs):
         """Chart-space <coeffs, xi> <= rhs to an ambient inequality."""
-        # Solve square^T y = coeffs, then scatter y onto the used rows.
-        square_t = [[self._square[r][c] for r in range(self.dim)] for c in range(self.dim)]
-        y = solve_square(square_t, list(coeffs))
+        # y = inverse^T coeffs, scattered onto the used rows.
+        (c,), dc = int_scaled([coeffs])
+        den = self._den * dc
         amb = [_ZERO] * self.ambient_dim
         for pos, j in enumerate(self.rows_used):
-            amb[j] = y[pos]
+            amb[j] = Q(sum(row[pos] * ci for row, ci in zip(self._inv, c)), den)
         return tuple(amb), rhs + dot(tuple(amb), self.origin)
 
 

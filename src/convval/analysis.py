@@ -8,6 +8,8 @@ locality probe, and the deterministic search for contravariance
 counterexamples in dimensions three and up.
 """
 
+import math
+
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -107,8 +109,6 @@ def polarize(mu, degree, funcs, check=True):
             for j in subset:
                 acc = add(acc, funcs[j], do_prune=False)
             total += (-1) ** (k - r) * mu(acc)
-    import math
-
     return total / math.factorial(k)
 
 
@@ -116,11 +116,18 @@ def polarize(mu, degree, funcs, check=True):
 class HingePair:
     """The canonical valuation-identity test pair.
 
-    From a base F and an affine hinge g = <u, x> - t with weight cw > 0:
-    f = F + cw * max(g, 0) and h = F + cw * max(-g, 0).  Then pointwise
+    From a base F and an affine hinge g = cw * (<u, x> - t) with cw > 0:
+    f = F + max(g, 0) and h = F + max(-g, 0).  Then pointwise
     min{f, h} = F exactly (the two hinge parts never win together) and
-    max{f, h} = F + cw * |g|, both max-affine, so the valuation identity has
+    max{f, h} = F + |g|, both max-affine, so the valuation identity has
     all four values available in closed form.
+
+    All four functions are pruned.  With B = prune(F), each piece p of B
+    wins on a nonempty open cell C_p, and the pieces of the others follow
+    from two sign bits per p: pos_p says C_p meets {g > 0}, neg_p says C_p
+    meets {g < 0}.  Then, as piece sets,
+    f = {p + g : pos_p} | {p : neg_p}, h = {p : pos_p} | {p - g : neg_p}
+    and fmax = {p + g : pos_p} | {p - g : neg_p}.
     """
 
     f: MaxAffineFn
@@ -134,7 +141,23 @@ class HingePair:
 
 
 def hinge_pair(base, u, t, cw):
-    """Build and exactly validate a HingePair; see the class docstring."""
+    """Build and exactly validate a HingePair from two prunes.
+
+    B = prune(base) is fmin, and f is the prune of the 2m pieces of B and
+    B + g together (m = len(B.pieces)); h and fmax are read off f's pieces
+    by the sign bits of the class docstring: pos_p = (p + g in f) and
+    neg_p = (p in f).  These are exact.  A piece p + g of f wins where
+    g > 0 on C_p, unless it is a piece q of B winning where g < 0 on C_q;
+    a piece p of f wins where g < 0 on C_p, unless p = q + g for a piece q
+    of B winning where g > 0 on C_q.  Neither exception can occur: if
+    q = p + g for pieces p, q of B, then p > q on C_p puts all of C_p in
+    {g < 0}, and q > p on C_q puts all of C_q in {g > 0}.
+
+    The result is checked without a further prune: every piece of fmax is a
+    piece of f or h, and every other piece of f or h is a piece of B, which
+    lies below fmax, so max{f, h} = fmax; a 2n+1-point spot check compares
+    max{f, h} with fmax and min{f, h} with fmin.
+    """
     u = rat_vector(u)
     if len(u) != base.dim:
         raise DimensionMismatch(f"hinge direction has length {len(u)}, expected {base.dim}")
@@ -145,22 +168,45 @@ def hinge_pair(base, u, t, cw):
     if cw <= 0:
         raise ValueError("hinge weight must be positive")
     n = base.dim
-    zero = (_ZERO,) * n
-    pos = MaxAffineFn(n, [(tuple(cw * v for v in u), -cw * t), (zero, _ZERO)])
-    neg = MaxAffineFn(n, [(tuple(-cw * v for v in u), cw * t), (zero, _ZERO)])
-    absg = MaxAffineFn(n, [(tuple(cw * v for v in u), -cw * t), (tuple(-cw * v for v in u), cw * t)])
-    f = add(base, pos)
-    h = add(base, neg)
-    fmax = add(base, absg)
+    gu = tuple(cw * v for v in u)
+    gt = cw * t
     fmin = prune(base)
-    if max_of(f, h) != fmax:
-        raise AssertionError("hinge construction broke max{f, h} = base + cw|g|")
-    # min{f, h} = base holds identically; spot check a deterministic sample.
+    lows = fmin.pieces
+    ups = tuple((tuple(x + y for x, y in zip(a, gu)), b - gt) for a, b in lows)
+    f = prune(MaxAffineFn(n, lows + ups))
+    in_f = set(f.pieces)
+    h_pieces = []
+    max_pieces = []
+    for (a, b), up in zip(lows, ups):
+        if up in in_f:
+            h_pieces.append((a, b))
+            max_pieces.append(up)
+        if (a, b) in in_f:
+            down = (tuple(x - y for x, y in zip(a, gu)), b + gt)
+            h_pieces.append(down)
+            max_pieces.append(down)
+    h = MaxAffineFn(n, h_pieces)
+    fmax = MaxAffineFn(n, max_pieces)
+    _check_hinge_pieces(fmin, f, h, fmax)
+    # Both identities hold everywhere; spot check a deterministic sample.
     for k in range(2 * n + 1):
         x = tuple(Q(((k + 1) * (j + 2)) % 7 - 3, 2) for j in range(n))
-        if min(f(x), h(x)) != fmin(x):
+        fx = f(x)
+        hx = h(x)
+        if max(fx, hx) != fmax(x):
+            raise AssertionError("hinge construction broke max{f, h} = base + cw|g|")
+        if min(fx, hx) != fmin(x):
             raise AssertionError("hinge construction broke min{f, h} = base")
     return HingePair(f=f, h=h, fmax=fmax, fmin=fmin, base=fmin, u=u, t=t, cw=cw)
+
+
+def _check_hinge_pieces(fmin, f, h, fmax):
+    # max{f, h} = fmax as piece sets: fmax's pieces all occur in f or h, and
+    # what else occurs is a piece of fmin, which fmax dominates.
+    either = set(f.pieces) | set(h.pieces)
+    top = set(fmax.pieces)
+    if not top <= either or not either - top <= set(fmin.pieces):
+        raise AssertionError("hinge construction broke max{f, h} = base + cw|g|")
 
 
 def valuation_identity_check(mu, f, h=None, fmax=None, fmin=None):

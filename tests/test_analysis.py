@@ -4,6 +4,8 @@ and the deterministic counterexample search for inverse-transpose covariance.
 
 import random
 
+from collections import Counter
+
 import pytest
 
 from convval import (
@@ -24,8 +26,12 @@ from convval import (
     scale,
     valuation_identity_check,
 )
+from convval import _simplex, analysis
+from convval.generators import rand_point, rand_rational, rng_for
 from convval.linalg import RationalMatrix
+from convval.maxaffine import prune
 
+import hinge_reference as ref
 from conftest import grid_points, hinge
 
 
@@ -74,6 +80,128 @@ def test_hinge_pair_input_validation():
         hinge_pair(MaxAffineFn.zero(2), (Q(1), Q(0)), Q(1), Q(0))
     with pytest.raises(Exception):
         hinge_pair(MaxAffineFn.zero(2), (Q(1),), Q(1), Q(1))
+
+
+def _hinge_inputs(k):
+    """Seeded (base, u, t, cw) in dimension 1 + k % 4, cycling through five
+    base shapes: unpruned with a parallel and a dominated piece, one piece,
+    a piece p together with p + g, a far threshold, plain random."""
+    rng = rng_for(1, "hinge-diff", k)
+    dim = 1 + k % 4
+    kind = k // 4 % 5
+    u = rand_point(rng, dim)
+    if all(v == 0 for v in u):
+        u = (Q(1),) + (Q(0),) * (dim - 1)
+    t = rand_rational(rng, -4, 4, 2)
+    cw = Q(rng.randint(1, 4), rng.randint(1, 2))
+
+    def piece():
+        return rand_point(rng, dim), rand_rational(rng)
+
+    if kind == 0:
+        pieces = [piece() for _ in range(rng.randint(2, 4))]
+        (a, b), (c, d) = pieces[:2]
+        pieces.append((a, b - rng.randint(1, 3)))
+        pieces.append((tuple((x + y) / 2 for x, y in zip(a, c)), (b + d) / 2 - 1))
+    elif kind == 1:
+        pieces = [piece()]
+    elif kind == 2:
+        a, b = piece()
+        pieces = [(a, b), (tuple(x + cw * y for x, y in zip(a, u)), b - cw * t)]
+        pieces += [piece() for _ in range(rng.randint(0, 3))]
+    elif kind == 3:
+        t = Q(rng.choice((-1, 1)) * rng.randint(10**3, 10**6))
+        if dim == 1 or k % 8 < 4:
+            # Slopes that differ along u only: every cell is a slab across u.
+            a0 = rand_point(rng, dim)
+            pieces = []
+            for _ in range(rng.randint(2, 4)):
+                c = rand_rational(rng, -3, 3, 2)
+                pieces.append((tuple(x + c * y for x, y in zip(a0, u)), rand_rational(rng)))
+        else:
+            pieces = [piece() for _ in range(rng.randint(2, 4))]
+    else:
+        pieces = [piece() for _ in range(rng.randint(1, 5))]
+    return MaxAffineFn(dim, pieces), u, t, cw
+
+
+def test_hinge_pair_matches_five_prune_reference():
+    # The sign-bit construction against the old one, which prunes f, h and
+    # max{f, h} separately and checks max{f, h} by a further prune.
+    tags = Counter()
+    for k in range(3000):
+        base, u, t, cw = _hinge_inputs(k)
+        want = ref.hinge_pair(base, u, t, cw)
+        pair = hinge_pair(base, u, t, cw)
+        assert (pair.f, pair.h, pair.fmax, pair.fmin) == want, k
+        assert pair.base == pair.fmin
+        lows = pair.fmin.pieces
+        g = (tuple(cw * v for v in u), -cw * t)
+        ups = [(tuple(x + y for x, y in zip(a, g[0])), b + g[1]) for a, b in lows]
+        downs = [(tuple(x - y for x, y in zip(a, g[0])), b - g[1]) for a, b in lows]
+        slopes = [a for a, _ in base.pieces]
+        tags["parallel-and-dominated"] += len(set(slopes)) < len(slopes) and len(lows) < len(slopes) - 1
+        tags["single-piece"] += len(lows) == 1
+        tags["coincident"] += any(q in lows for q in ups)
+        # A far hinge hyperplane meeting exactly one cell of a base of 2+ pieces.
+        split = sum(q in want[2].pieces and r in want[2].pieces for q, r in zip(ups, downs))
+        tags["far-one-cell"] += abs(t) >= 1000 and len(lows) > 1 and split == 1
+        tags[f"dim-{base.dim}"] += 1
+    for tag in ("parallel-and-dominated", "single-piece", "coincident", "far-one-cell"):
+        assert tags[tag] >= 100, tags
+    assert min(tags[f"dim-{d}"] for d in range(1, 5)) == 750, tags
+
+
+def _recording_lps(monkeypatch):
+    programs = []
+    real = _simplex.feasible_eq
+
+    def recording(A, b):
+        programs.append((A, b))
+        return real(A, b)
+
+    monkeypatch.setattr(_simplex, "feasible_eq", recording)
+    return programs
+
+
+@pytest.mark.parametrize("k", [k for k in range(20) if k % 4])
+def test_hinge_pair_issues_only_the_two_prunes(monkeypatch, k):
+    # Dimensions 2-4 (dimension 1 prunes without LPs), every base shape: the
+    # LPs of prune(base) and of the prune of its 2m candidates, in order.
+    base, u, t, cw = _hinge_inputs(k)
+    base = prune(base)
+    m = len(base.pieces)
+    g = (tuple(cw * v for v in u), -cw * t)
+    both = MaxAffineFn(base.dim, base.pieces + tuple(
+        (tuple(x + y for x, y in zip(a, g[0])), b + g[1]) for a, b in base.pieces))
+    assert m < len(both.pieces) <= 2 * m
+    programs = _recording_lps(monkeypatch)
+    prune(base)
+    f = prune(both)
+    expected = list(programs)
+    programs.clear()
+    pair = hinge_pair(base, u, t, cw)
+    assert pair.f == f
+    assert programs == expected
+    assert len(programs) <= 3 * m
+
+
+def test_hinge_piece_check_catches_a_dropped_piece():
+    # Tampering with f: dropping any piece of f that max{f, h} needs breaks
+    # the piece-set check, with no LP involved.
+    dropped = 0
+    for k in range(40):
+        pair = hinge_pair(*_hinge_inputs(k))
+        analysis._check_hinge_pieces(pair.fmin, pair.f, pair.h, pair.fmax)
+        for q in set(pair.f.pieces) & set(pair.fmax.pieces):
+            rest = [p for p in pair.f.pieces if p != q]
+            if not rest:
+                continue
+            tampered = MaxAffineFn(pair.f.dim, rest)
+            with pytest.raises(AssertionError, match=r"max\{f, h\}"):
+                analysis._check_hinge_pieces(pair.fmin, tampered, pair.h, pair.fmax)
+            dropped += 1
+    assert dropped >= 40
 
 
 def test_identity_hand_computed_values():

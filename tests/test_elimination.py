@@ -90,9 +90,20 @@ def _check(rows, m, n, tags):
     chart = Chart([origin] + [vadd(origin, v) for v in dirs])
     basis, rows_used = ref.chart_selection([tuple(Q(v) for v in d) for d in dirs], n)
     assert (chart.basis, chart.rows_used) == (basis, rows_used)
+    square = [[b[j] for b in basis] for j in rows_used]
     for v in dirs:
         coords = chart.coords_of_direction(v)
         assert tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(n)) == v
+        assert coords == ref.solve_square(square, [v[j] for j in rows_used]) and _all_q([coords])
+    # A lift solves the transposed square; the chart reuses its one inverse.
+    coeffs = tuple(Q(k - 1, 2) if k % 2 else k - 1 for k in range(chart.dim))
+    y = ref.solve_square([list(col) for col in zip(*square)], coeffs)
+    want = [Q(0)] * n
+    for pos, j in enumerate(rows_used):
+        want[j] = y[pos]
+    amb, rhs = chart.lift_inequality(coeffs, Q(1, 3))
+    assert amb == tuple(want) and _all_q([amb])
+    assert rhs == Q(1, 3) + sum((w * o for w, o in zip(want, origin)), Q(0))
 
     if m == n:
         rhs = tuple(Q(k - 2, 3) for k in range(n))

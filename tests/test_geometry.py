@@ -65,8 +65,10 @@ def test_lifted_hrep_budget_raises_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated")
 
+    # The chart scales its own coordinate rows, so the marker of enumeration
+    # here is the candidate loop itself rather than any integer scaling.
     monkeypatch.setattr(_geometry, "_cross_normal", refuse)
-    monkeypatch.setattr(_geometry, "int_scaled", refuse)
+    monkeypatch.setattr(_geometry, "combinations", refuse)
     f = paraboloid_tangents(4, grid=1)
     points = [a + (-b,) for a, b in f.pieces]
     # 81 points and the ray span the lifted R^5: C(82, 5) candidates.
