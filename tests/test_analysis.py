@@ -152,18 +152,6 @@ def test_hinge_pair_matches_five_prune_reference():
     assert min(tags[f"dim-{d}"] for d in range(1, 5)) == 750, tags
 
 
-def _recording_lps(monkeypatch):
-    programs = []
-    real = _simplex.feasible_eq
-
-    def recording(A, b):
-        programs.append((A, b))
-        return real(A, b)
-
-    monkeypatch.setattr(_simplex, "feasible_eq", recording)
-    return programs
-
-
 @pytest.mark.parametrize("k", [k for k in range(20) if k % 4])
 def test_hinge_pair_issues_only_the_two_prunes(monkeypatch, k):
     # Dimensions 2-4 (dimension 1 prunes without LPs), every base shape: the
@@ -175,7 +163,14 @@ def test_hinge_pair_issues_only_the_two_prunes(monkeypatch, k):
     both = MaxAffineFn(base.dim, base.pieces + tuple(
         (tuple(x + y for x, y in zip(a, g[0])), b + g[1]) for a, b in base.pieces))
     assert m < len(both.pieces) <= 2 * m
-    programs = _recording_lps(monkeypatch)
+    programs = []
+    real = _simplex.feasible_eq
+
+    def recording(A, b):
+        programs.append((A, b))
+        return real(A, b)
+
+    monkeypatch.setattr(_simplex, "feasible_eq", recording)
     prune(base)
     f = prune(both)
     expected = list(programs)
