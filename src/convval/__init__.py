@@ -78,8 +78,6 @@ from .suites import (
 from .valuations import (
     DiscreteMeasure,
     ValuationSpec,
-    check_dual_epi_invariance,
-    check_equivariance,
     lift_vector_map,
     psi_eval,
     psi_expand,
@@ -110,8 +108,6 @@ __all__ = [
     "SupportEvaluator",
     "ValuationSpec",
     "add",
-    "check_dual_epi_invariance",
-    "check_equivariance",
     "compose_linear",
     "conjugate",
     "conjugate_cd",

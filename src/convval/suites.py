@@ -31,6 +31,7 @@ from .analysis import (
     homogeneous_decompose,
     locality_check,
     polarize,
+    valuation_identity_check,
 )
 from .errors import ParseError
 from .generators import (
@@ -62,7 +63,6 @@ from .rational import Q, format_rational, rat_vector
 from .valuations import (
     DiscreteMeasure,
     ValuationSpec,
-    check_dual_epi_invariance,
     lift_vector_map,
     psi_eval,
     psi_expand,
@@ -187,10 +187,7 @@ class _Bound:
 
     def failure(self, **probe):
         """The witness if the check fails at this probe, else None."""
-        return self.judge(*self.compare(**probe), **probe)
-
-    def judge(self, lhs, rhs, **probe):
-        """`failure` for sides that the case already holds."""
+        lhs, rhs = self.compare(**probe)
         if not self.check.fails(lhs, rhs):
             return None
         inputs = {**self.inputs, **probe}
@@ -198,12 +195,9 @@ class _Bound:
                            lhs, rhs, self.note)
 
     def require(self, **probe):
-        _raise(self.failure(**probe))
-
-
-def _raise(witness):
-    if witness is not None:
-        raise CaseFailed(witness)
+        witness = self.failure(**probe)
+        if witness is not None:
+            raise CaseFailed(witness)
 
 
 def _absent(inputs, observed, expected, note):
@@ -241,8 +235,8 @@ def _product_valuation(spec, x, y):
 @_check("valuation-identity", spec="valuation", x="vector", f="function", h="function",
         fmax="function", fmin="function")
 def _valuation_identity(spec, f, h, fmax, fmin):
-    return lambda x: (psi_eval(spec, fmax, x) + psi_eval(spec, fmin, x),
-                      psi_eval(spec, f, x) + psi_eval(spec, h, x))
+    return lambda x: valuation_identity_check(ScalarValuation.from_valuation_spec(spec, x),
+                                              f, h, fmax, fmin)[1:3]
 
 
 @_check("dual-epi-invariance", spec="valuation", f="function", ell="function", x="vector")
@@ -397,9 +391,8 @@ def _thm_a_pair_case(seed, mi, nu, k):
     _Bound("convexity-midpoint", "2 psi(f)(midpoint) vs psi(f)(x) + psi(f)(y)",
            spec=spec, f=f).require(x=rand_point(rng, dim), y=rand_point(rng, dim))
     x = rand_nonzero_point(rng, dim)
-    res = locality_check(spec, f, x, rng=rng)
-    _raise(_Bound("locality", "modification below f off the probe set changed the output",
-                  spec=spec, f=f, modified=res["modified"], x=x).judge(res["lhs"], res["rhs"]))
+    _Bound("locality", "modification below f off the probe set changed the output",
+           spec=spec, f=f, modified=locality_check(spec, f, x, rng=rng)["modified"]).require(x=x)
 
 
 def _thm_a_expand_case(seed, mi, nu):
@@ -417,11 +410,14 @@ def _thm_a_invalid_case(seed, bi, nu):
         raise _absent({"measure": nu}, nu.signed_reciprocal_moment(), _ZERO,
                       "measure listed as invalid has vanishing moment")
     spec = ValuationSpec("equivariant", 2, rand_rational(rng, -4, 4, 2), nu)
-    report = check_dual_epi_invariance(spec, trials=8, rng=rng)
-    if report.passed:
-        raise _absent({"spec": spec}, "no counterexample in 8 trials", "expected a violation",
-                      "nonzero moment must break translation invariance")
-    return report.witnesses[0]
+    for _ in range(8):
+        shift = _Bound("dual-epi-invariance", "psi(f + affine) vs psi(f)",
+                       spec=spec, f=rand_maxaffine(rng, 2), ell=rand_affine(rng, 2))
+        exhibit = shift.failure(x=rand_point(rng, 2))
+        if exhibit is not None:
+            return exhibit
+    raise _absent({"spec": spec}, "no counterexample in 8 trials", "expected a violation",
+                  "nonzero moment must break translation invariance")
 
 
 def _thm_a_cases(seed, trials):

@@ -13,11 +13,12 @@ single values, `psi_expand` materializes the output as a max-affine function.
 
 Invariance under adding affine functions ("dual epi-translation invariance")
 holds exactly when sum_j w_j / s_j = 0 (for the third family also c = 0,
-since c f(0) feels constant shifts); the checks in this module verify either
-side with exact witnesses.
+since c f(0) feels constant shifts).  The sampled checks of this and the
+other defining properties (equivariance, planar contravariance) are written
+once, in the registry `suites.CHECKS`, which files their exact witnesses.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch, PieceBudgetExceeded
 from .linalg import RationalMatrix
@@ -205,93 +206,6 @@ def psi_expand(spec, f, piece_cap=DEFAULT_PIECE_CAP):
             )
         out = add(out, term)
     return out
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a sampled exact check: witnesses carry full inputs."""
-
-    name: str
-    trials: int
-    passes: int
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.witnesses
-
-
-def _witness(check, inputs, lhs, rhs, note=""):
-    from .io import witness_doc
-
-    return witness_doc(check, inputs, lhs, rhs, note)
-
-
-def check_dual_epi_invariance(spec, trials, rng):
-    """Does adding an affine function leave outputs unchanged?
-
-    Samples affine ell and probe points; compares psi(f + ell) with psi(f)
-    exactly.  Passes iff the signed reciprocal moment vanishes (and, for the
-    gl-endomorphism family, c = 0, since c f(0) reacts to constant shifts).
-    """
-    from .generators import rand_affine, rand_maxaffine, rand_point
-
-    report = CheckReport("dual-epi-invariance", trials, 0)
-    for _ in range(trials):
-        f = rand_maxaffine(rng, spec.dim)
-        ell = rand_affine(rng, spec.dim)
-        x = rand_point(rng, spec.dim)
-        lhs = psi_eval(spec, add(f, ell, do_prune=False), x)
-        rhs = psi_eval(spec, f, x)
-        if lhs == rhs:
-            report.passes += 1
-        else:
-            report.witnesses.append(
-                _witness(
-                    "dual-epi-invariance",
-                    {"spec": spec, "f": f, "ell": ell, "x": x},
-                    lhs,
-                    rhs,
-                    "psi(f + affine) vs psi(f)",
-                )
-            )
-    return report
-
-
-def check_equivariance(spec, mode, group, trials, rng):
-    """Exact transformation behavior under sampled group elements.
-
-    mode "equivariant" compares psi(f o g)(x) with psi(f)(g x); mode
-    "contravariant" compares against psi(f)(g^-T x).  group is "SL" (shear
-    words) or "GL" (shear words times a diagonal).
-    """
-    from .generators import rand_gl_matrix, rand_maxaffine, rand_point, rand_sl_matrix
-
-    if mode not in ("equivariant", "contravariant"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if group not in ("SL", "GL"):
-        raise ValueError(f"unknown group {group!r}")
-    report = CheckReport(f"{mode}-{group}", trials, 0)
-    for _ in range(trials):
-        f = rand_maxaffine(rng, spec.dim)
-        g = rand_sl_matrix(rng, spec.dim) if group == "SL" else rand_gl_matrix(rng, spec.dim)
-        x = rand_point(rng, spec.dim)
-        lhs = psi_eval(spec, compose_linear(f, g), x)
-        target = g.matvec(x) if mode == "equivariant" else g.inverse_transpose().matvec(x)
-        rhs = psi_eval(spec, f, target)
-        if lhs == rhs:
-            report.passes += 1
-        else:
-            report.witnesses.append(
-                _witness(
-                    "equivariance" if mode == "equivariant" else "contravariance",
-                    {"spec": spec, "f": f, "g": g, "x": x},
-                    lhs,
-                    rhs,
-                    f"psi(f o g)(x) vs psi(f)({'g x' if mode == 'equivariant' else 'g^-T x'})",
-                )
-            )
-    return report
 
 
 def lift_vector_map(vector_map, f, x):

@@ -30,6 +30,7 @@ from convval import _simplex, analysis
 from convval.generators import rand_point, rand_rational, rng_for
 from convval.linalg import RationalMatrix
 from convval.maxaffine import prune
+from convval.suites import CHECKS
 
 import hinge_reference as ref
 from conftest import grid_points, hinge
@@ -420,8 +421,8 @@ def test_locality_hand_example():
     x = (Q(1), Q(0))
     ell = MaxAffineFn.affine((Q(0), Q(2)), Q(-1))
     res = locality_check(spec, f, x, ell=ell)
-    assert res["ok"]
-    assert res["lhs"] == res["rhs"] == Q(1)
+    lhs, rhs = CHECKS["locality"].sides(spec=spec, f=f, modified=res["modified"])(x=x)
+    assert lhs == rhs == Q(1)
     far = (Q(0), Q(10))
     assert res["modified"](far) == Q(19)
     assert f(far) == Q(10)
@@ -450,8 +451,10 @@ def test_locality_negative_control_probe_perturbation_changes_value():
 def test_locality_with_generated_majorant():
     spec = diff_spec(2)
     f = mf(2, ((1, 1), 0), ((-1, 0), 2), ((0, -1), -1))
-    res = locality_check(spec, f, (Q(1), Q(2)))
-    assert res["ok"]
+    x = (Q(1), Q(2))
+    res = locality_check(spec, f, x)
+    lhs, rhs = CHECKS["locality"].sides(spec=spec, f=f, modified=res["modified"])(x=x)
+    assert lhs == rhs
     assert res["changed_at"] is not None
     assert res["modified"](res["changed_at"]) != f(res["changed_at"])
 

@@ -1,23 +1,24 @@
 """Source hygiene: no module of the package or of the tests imports a name it
-never uses."""
+never uses, and the package exports exactly what its `__init__` imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import convval
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "convval").glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_imports(source):
-    """Names bound by module-level imports and never referenced.
+def imported_names(tree):
+    """Names bound by module-level imports, each with its import's line.
 
     `import a.b` binds `a`; `import a.b as c` and `from a import b as c`
     bind `c`.
     """
-    tree = ast.parse(source)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
@@ -26,6 +27,13 @@ def unused_imports(source):
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return imported
+
+
+def unused_imports(source):
+    """Names bound by module-level imports and never referenced."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
@@ -43,3 +51,9 @@ def test_checker_sees_unused_and_used_names():
                          ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_from_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_are_sorted_and_match_its_imports():
+    source = (ROOT / "src" / "convval" / "__init__.py").read_text(encoding="utf-8")
+    assert convval.__all__ == sorted(convval.__all__)
+    assert set(convval.__all__) == set(imported_names(ast.parse(source)))

@@ -17,11 +17,10 @@ from convval.suites import (
     report_doc,
     run_suite,
 )
-from convval import DiscreteMeasure, Polytope, Q, ValuationSpec
+from convval import Polytope, Q
 from convval.errors import ParseError
 from convval.generators import rng_for
 from convval.io import dump_json
-from convval.valuations import check_dual_epi_invariance, check_equivariance
 
 
 def test_unknown_suite_and_bad_trials_rejected():
@@ -110,6 +109,21 @@ def test_thm_a_invalid_measures_produce_exhibits():
     assert len(invalid) == 5
 
 
+# sha256 of the dump_json texts, concatenated, of _thm_a_invalid_case over
+# seeds 1-50 and every invalid measure.  Each case files the first of its
+# eight draws that breaks dual-epi invariance; a change to the draws, their
+# order or the witness layout changes this hash.
+INVALID_EXHIBITS_DIGEST = "f0b400a5c8fdbedb21b9c7991a75ec9bca9efe3be881a4ada278a8e4d0a442b3"
+
+
+def test_thm_a_invalid_exhibits_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(1, 51):
+        for bi, nu in enumerate(suites.INVALID_MEASURES):
+            digest.update(dump_json(suites._thm_a_invalid_case(seed, bi, nu)).encode())
+    assert digest.hexdigest() == INVALID_EXHIBITS_DIGEST
+
+
 def test_thm_b_exhibit_has_unit_gap():
     rep = run_suite("thm-b", seed=6, trials=1)
     assert rep.failures == 0
@@ -193,22 +207,8 @@ def test_forced_failure_of_every_check_replays(monkeypatch):
     for doc in docs.values():
         res = replay_witness(doc)
         assert res["match"], (doc["case"], doc["check"], res)
-    produced = {d["check"] for d in docs.values()}
-    # The other producers of witnesses: the sampled checks in valuations.
-    # The CLI's falsify verb files the thm-b exhibit (see test_cli), and the
-    # benchmark's transform requests file the schemas of thm-a's expand and
-    # classical's difference-exact cases.
-    spec = ValuationSpec("equivariant", 3, Q(0), DiscreteMeasure([(2, 1)]))
-    planar = ValuationSpec("contravariant-2d", 2, Q(0), DiscreteMeasure([(2, 1)]))
-    rng = rng_for(0, "producers")
-    for report in (check_dual_epi_invariance(spec, 2, rng),
-                   check_equivariance(planar, "equivariant", "SL", 2, rng),
-                   check_equivariance(spec, "contravariant", "SL", 2, rng)):
-        assert report.witnesses, report.name
-        for doc in report.witnesses:
-            assert replay_witness(doc)["match"], report.name
-            produced.add(doc["check"])
-    assert produced == set(CHECKS)
+    # The suite cases alone file every registered check.
+    assert {d["check"] for d in docs.values()} == set(CHECKS)
 
 
 def test_degree_two_diagonal_witness_replays_as_degree_two(monkeypatch):
@@ -226,12 +226,13 @@ def test_degree_two_diagonal_witness_replays_as_degree_two(monkeypatch):
 
 
 def test_missing_phenomena_are_filed_as_unreplayable(monkeypatch):
-    for check in ("lifted-linearity", "lifted-pairing", "contravariance-gap"):
+    for check in ("lifted-linearity", "lifted-pairing", "contravariance-gap", "dual-epi-invariance"):
         monkeypatch.setitem(CHECKS, check, dataclasses.replace(CHECKS[check], fails=_always(False)))
     absent = [w for w in _emitted() if w["check"] == "expected-absent"]
     assert sorted(w["case"] for w in absent) == sorted(
         [f"cor-e/measure{mi}/{kind}" for mi in range(5) for kind in ("midpoint", "pairing")]
-        + ["thm-b/falsify-n3"])
+        + ["thm-b/falsify-n3"]
+        + [f"thm-a/invalid{bi}/dual-epi-breaks" for bi in range(5)])
     for w in absent:
         with pytest.raises(ParseError, match="not a comparison; it is not replayable"):
             replay_witness(w)

@@ -10,15 +10,21 @@ from convval import (
     Q,
     ValuationSpec,
     add,
-    check_dual_epi_invariance,
-    check_equivariance,
     compose_linear,
     lift_vector_map,
     psi_eval,
     psi_expand,
     validate_measure,
 )
+from convval.generators import (
+    rand_affine,
+    rand_gl_matrix,
+    rand_maxaffine,
+    rand_point,
+    rand_sl_matrix,
+)
 from convval.linalg import RationalMatrix, unit_vector
+from convval.suites import _Bound, replay_witness
 
 from conftest import grid_points, hinge
 
@@ -169,38 +175,53 @@ def test_constant_shift_never_changes_output():
         assert psi_eval(spec, shifted, x) == psi_eval(spec, f, x)
 
 
+def sampled_witnesses(check, spec, trials, rng, draw):
+    """Witnesses the registry check files over `trials` seeded draws.
+
+    Each trial binds the inputs `draw(rng)` returns, then probes one random
+    point, the way the suite cases do.
+    """
+    found = []
+    for _ in range(trials):
+        bound = _Bound(check, "", spec=spec, **draw(rng))
+        witness = bound.failure(x=rand_point(rng, spec.dim))
+        if witness is not None:
+            found.append(witness)
+    return found
+
+
+def shifts(rng):
+    return {"f": rand_maxaffine(rng, 2), "ell": rand_affine(rng, 2)}
+
+
+def sl_words(rng):
+    return {"f": rand_maxaffine(rng, 2), "g": rand_sl_matrix(rng, 2)}
+
+
 def test_check_dual_epi_invariance_reports():
-    rng = random.Random(3)
-    good = check_dual_epi_invariance(diff_spec(2), trials=10, rng=rng)
-    assert good.passed
-    assert good.passes == 10
-    rng = random.Random(3)
+    assert sampled_witnesses("dual-epi-invariance", diff_spec(2), 10, random.Random(3), shifts) == []
     bad_spec = ValuationSpec("equivariant", 2, Q(0), DiscreteMeasure([(2, 1)]))
-    bad = check_dual_epi_invariance(bad_spec, trials=10, rng=rng)
-    assert not bad.passed
-    assert bad.witnesses
-    w = bad.witnesses[0]
+    bad = sampled_witnesses("dual-epi-invariance", bad_spec, 10, random.Random(3), shifts)
+    assert bad
+    w = bad[0]
     assert w["check"] == "dual-epi-invariance"
     assert w["lhs"] != w["rhs"]
+    assert replay_witness(w)["match"]
 
 
 def test_equivariance_under_gl_and_sl():
-    rng = random.Random(9)
-    spec = diff_spec(3)
-    rep = check_equivariance(spec, "equivariant", "GL", trials=12, rng=rng)
-    assert rep.passed, rep.witnesses
-    rng = random.Random(10)
-    rep2 = check_equivariance(diff_spec(2), "equivariant", "SL", trials=12, rng=rng)
-    assert rep2.passed
+    def gl3(rng):
+        return {"f": rand_maxaffine(rng, 3), "g": rand_gl_matrix(rng, 3)}
+
+    assert sampled_witnesses("equivariance", diff_spec(3), 12, random.Random(9), gl3) == []
+    assert sampled_witnesses("equivariance", diff_spec(2), 12, random.Random(10), sl_words) == []
 
 
 def test_contravariance_in_the_plane():
-    rng = random.Random(13)
     spec = ValuationSpec(
         "contravariant-2d", 2, Q(0), DiscreteMeasure([(1, 1), (-1, 1)])
     )
-    rep = check_equivariance(spec, "contravariant", "SL", trials=15, rng=rng)
-    assert rep.passed, rep.witnesses
+    assert sampled_witnesses("contravariance", spec, 15, random.Random(13), sl_words) == []
 
 
 def test_contravariance_hand_example_with_shear():
