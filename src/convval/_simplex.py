@@ -13,7 +13,10 @@ objective row is an integer vector over its own positive denominator.  Every
 sign test, ratio comparison (by cross-multiplication) and Bland choice is the
 rational tableau's, so the pivot path and every result are too.
 
-Standard form: minimize c.x subject to A x = b, x >= 0.
+Standard form: minimize c.x subject to A x = b, x >= 0.  `feasible_eq` runs
+phase 1 alone and, on infeasibility, returns the integer Farkas certificate
+that phase 1 already holds in its objective row (an optimal dual); the
+extreme-point filter reads a new extreme point off it.
 """
 
 from math import gcd, lcm
@@ -103,13 +106,17 @@ def _phase1(A, b, n):
     """Phase 1 on [A | I | b]: minimize the sum of the artificials.
 
     Rows with a negative right-hand side are negated first.  Returns
-    (tableau, basis, feasible).
+    (tableau, basis, obj, signs): obj is the optimal objective row
+    [numerators, denominator], zero in its last entry iff {A x = b, x >= 0}
+    is nonempty, and signs[i] is -1 where row i was negated, else 1.
     """
     m = len(A)
     tableau = []
+    signs = []
     for i in range(m):
         (row,), den = int_scaled([list(A[i]) + [b[i]]])
         sign = -1 if row[-1] < 0 else 1
+        signs.append(sign)
         art = [0] * m
         art[i] = den
         tableau.append([sign * a for a in row[:-1]] + art + [sign * row[-1]])
@@ -127,7 +134,7 @@ def _phase1(A, b, n):
     obj = [o, den]
     basis = list(range(n, n + m))
     _run(tableau, obj, basis, n + m)
-    return tableau, basis, obj[0][-1] == 0
+    return tableau, basis, obj, signs
 
 
 def solve_eq(A, b, c):
@@ -137,8 +144,8 @@ def solve_eq(A, b, c):
     UNBOUNDED; value and x are None unless OPTIMAL.
     """
     n = len(c)
-    tableau, basis, feasible = _phase1(A, b, n)
-    if not feasible:
+    tableau, basis, obj, _ = _phase1(A, b, n)
+    if obj[0][-1]:
         return INFEASIBLE, None, None
 
     # Drive leftover artificials out of the basis; drop redundant rows.  The
@@ -190,6 +197,17 @@ def solve_eq(A, b, c):
 
 
 def feasible_eq(A, b):
-    """Is {A x = b, x >= 0} nonempty?  Phase 1 only."""
+    """Is {A x = b, x >= 0} nonempty?  Phase 1 only.
+
+    Returns (True, None), or (False, y) with y an integer Farkas certificate:
+    y.A_j <= 0 for every column j of A, and y.b > 0.  It is the optimal
+    phase-1 dual pi scaled by the objective denominator D: the reduced cost
+    of artificial column i is 1 - pi_i (over the negated rows, hence the
+    sign), so y_i = sign_i * (D - o[n + i]).  Optimality gives the column
+    inequalities, and y.b is D times the positive phase-1 optimum.
+    """
     n = len(A[0]) if A else 0
-    return _phase1(A, b, n)[2]
+    _, _, (o, den), signs = _phase1(A, b, n)
+    if not o[-1]:
+        return True, None
+    return False, [s * (den - o[n + i]) for i, s in enumerate(signs)]

@@ -27,6 +27,9 @@ from .rational import Q, rat_vector
 _ZERO = Q(0)
 _ONE = Q(1)
 
+# The gap pass solves up to one program per pair of non-hull pieces of f and h.
+MAX_GAP_PAIRS = 500
+
 
 class _PositiveInfinity:
     """Sentinel for evaluation outside the effective domain."""
@@ -181,7 +184,8 @@ def is_min_convex(f, h):
     the hull.  The hull is below min{f, h} everywhere, and min{f, h} exceeds
     it at x exactly when the pieces active at x have such a gap, so the gap
     pass alone decides.  A pair in which q or r is a hull piece has no gap
-    and needs no program.
+    and needs no program.  Raises CapabilityLimit, before any gap program,
+    when more than MAX_GAP_PAIRS pairs would need one.
     """
     if f.dim != h.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
@@ -198,11 +202,17 @@ def _is_min_convex_pruned(fp, hp, hull):
     if not on_hull <= set(fp.pieces) | set(hp.pieces):
         return False
     # For a hull piece q the row p = q of the gap program forces delta <= 0.
-    for aq, bq in fp.pieces:
-        if (aq, bq) in on_hull:
-            continue
-        for ar, br in hp.pieces:
-            if (ar, br) not in on_hull and _gap_above_hull(aq, bq, ar, br, hull, fp.dim) > 0:
+    f_off = [q for q in fp.pieces if q not in on_hull]
+    h_off = [r for r in hp.pieces if r not in on_hull]
+    pairs = len(f_off) * len(h_off)
+    if pairs > MAX_GAP_PAIRS:
+        raise CapabilityLimit(
+            f"the min-convexity gap pass would solve up to {pairs} programs, "
+            f"more than the supported {MAX_GAP_PAIRS}"
+        )
+    for aq, bq in f_off:
+        for ar, br in h_off:
+            if _gap_above_hull(aq, bq, ar, br, hull, fp.dim) > 0:
                 return False
     return True
 

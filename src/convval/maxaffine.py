@@ -8,10 +8,12 @@ strictly wins; `prune` computes it exactly.
 
 Pruning decides, per piece, whether its lifted point (a_i, -b_i) is a vertex
 of the lower convex hull of all lifted points.  In one dimension this is a
-monotone-chain walk; in higher dimensions it is a small exact feasibility
-problem per piece (is the lifted point a convex combination of the others,
-allowing slack upward?).  Dimensions above MAX_HULL_DIM are refused rather
-than silently approximated.
+monotone-chain walk; in higher dimensions it is one small exact feasibility
+problem per uncertified piece: is the lifted point a convex combination of
+the lower-hull vertices found so far, allowing slack upward?  When it is
+not, the problem's Farkas certificate names a vertex not yet found, so each
+problem has only vertices for columns and the work follows the output size.
+Dimensions above MAX_HULL_DIM are refused rather than silently approximated.
 """
 
 from functools import lru_cache
@@ -213,6 +215,18 @@ def _int_directions(n, ray):
     return tuple(int_scaled([y + tail])[0][0] for y in _certify_directions(n - 1 if ray else n))
 
 
+def _lowest_lex_max(ints, idx):
+    """Among the indexed points, the lex-max of those lowest in the last coordinate.
+
+    When the indexed points are all the maximizers of a direction that does
+    not rise along the upward ray, the result is an extreme point, with or
+    without the ray: the lowest points of a face form a face, and the
+    lex-max point of a finite set is a vertex of its hull.
+    """
+    low = min(ints[i][-1] for i in idx)
+    return max((i for i in idx if ints[i][-1] == low), key=ints.__getitem__)
+
+
 def extreme_indices(points, ray=False):
     """Indices of the extreme points of a deduplicated point list in R^n.
 
@@ -220,17 +234,25 @@ def extreme_indices(points, ray=False):
     plus nonnegative upward slack in the last coordinate when ray is set
     (then the extreme points are the lower-hull vertices).  Cheap
     certificates first (the unique maximizer of a fixed direction is
-    extreme), then one exact feasibility problem per remaining point.  Both
-    run on the points scaled to integers by their common denominator d.
-    Every LP row, the ones row and the slack entry included, is the rational
-    row times d, so each LP takes the rational LP's pivot path.
+    extreme); with none, the lowest-then-lex-max point starts the known set.
+    Each remaining point is then tested against the known extreme points
+    only (Clarkson 1994, output-sensitive): a feasible LP rejects it; an
+    infeasible one hands back a Farkas vector, a direction in which the
+    point beats every known extreme point, and the lowest-then-lex-max
+    maximizer of that direction over all points is a new extreme point.
+    It joins the known set, and the point is retested until it is rejected
+    or is itself that maximizer.  A point found that way needs no LP of its
+    own, so there are at most as many LPs as uncertified points, and every
+    LP column is an extreme point.  Everything runs on the points scaled to
+    integers by their common denominator d; every LP row, the ones row and
+    the slack entry included, is the rational row times d.
     """
     m = len(points)
     if m == 1:
         return [0]
     n = len(points[0])
     ints, d = int_scaled(points)
-    certified = set()
+    known = {}  # the extreme points found so far, in order: the LP columns
     for y in _int_directions(n, ray):
         best = None
         best_i = -1
@@ -242,24 +264,27 @@ def extreme_indices(points, ray=False):
             elif val == best:
                 tie = True
         if not tie:
-            certified.add(best_i)
+            known[best_i] = None
+    if not known:
+        known[_lowest_lex_max(ints, range(m))] = None
     free = n - 1 if ray else n
     slack = [0] if ray else []
-    kept = []
     for i in range(m):
-        if i in certified:
-            kept.append(i)
-            continue
-        others = ints[:i] + ints[i + 1 :]
-        rows = [[p[k] for p in others] + slack for k in range(free)]
-        rows.append([d] * (m - 1) + slack)
-        rhs = list(ints[i][:free]) + [d]
-        if ray:
-            rows.append([p[-1] for p in others] + [d])
-            rhs.append(ints[i][-1])
-        if not _simplex.feasible_eq(rows, rhs):
-            kept.append(i)
-    return kept
+        while i not in known:
+            rows = [[ints[j][k] for j in known] + slack for k in range(free)]
+            rows.append([d] * len(known) + slack)
+            rhs = list(ints[i][:free]) + [d]
+            if ray:
+                rows.append([ints[j][-1] for j in known] + [d])
+                rhs.append(ints[i][-1])
+            feasible, y = _simplex.feasible_eq(rows, rhs)
+            if feasible:
+                break
+            c = y[:free] + y[free + 1 :]
+            vals = [sum(map(mul, c, p)) for p in ints]
+            top = max(vals)
+            known[_lowest_lex_max(ints, [k for k, v in enumerate(vals) if v == top])] = None
+    return sorted(known)
 
 
 def prune(f):

@@ -6,19 +6,25 @@ Polytope took its extreme points through one filter at every affine rank:
 facet enumeration with its own one-dimensional case, the lifted
 H-representation with its two candidate loops (floor facets, then vertical
 walls) and its one-dimensional chart case, and the chart detour for sets of
-deficient affine rank.  The bodies are kept as they were; `polytope_vertices`
-is the old canonicalization of Polytope.__init__, around them.  The
-differential tests in test_hull.py compare the package with them.
+deficient affine rank.  `all_others_filter` is the extreme-point filter from
+before it became output-sensitive: it tests every uncertified point against
+all the other points, one LP each.  The bodies are kept as they were, apart
+from reading the verdict out of feasible_eq's (verdict, certificate) pair;
+`polytope_vertices` is the old canonicalization of Polytope.__init__, around
+them.  The differential tests in test_hull.py and test_integer_paths.py
+compare the package with them.
 """
 
 import math
 
 from itertools import combinations
+from operator import mul
 
+from convval import _simplex
 from convval._geometry import Chart, _cross_normal, _primitive, affine_rank, primitive_row
 from convval.errors import CapabilityLimit
 from convval.linalg import dot, int_scaled
-from convval.maxaffine import extreme_indices
+from convval.maxaffine import _int_directions
 from convval.rational import Q
 
 _ZERO = Q(0)
@@ -171,11 +177,60 @@ def hrep_with_vertical_ray(points):
     return ineqs, eqs
 
 
+def all_others_filter(points, ray=False):
+    """Indices of the extreme points of a deduplicated point list in R^n.
+
+    A point is extreme iff it is not a convex combination of the others,
+    plus nonnegative upward slack in the last coordinate when ray is set
+    (then the extreme points are the lower-hull vertices).  Cheap
+    certificates first (the unique maximizer of a fixed direction is
+    extreme), then one exact feasibility problem per remaining point.  Both
+    run on the points scaled to integers by their common denominator d.
+    Every LP row, the ones row and the slack entry included, is the rational
+    row times d, so each LP takes the rational LP's pivot path.
+    """
+    m = len(points)
+    if m == 1:
+        return [0]
+    n = len(points[0])
+    ints, d = int_scaled(points)
+    certified = set()
+    for y in _int_directions(n, ray):
+        best = None
+        best_i = -1
+        tie = False
+        for i, p in enumerate(ints):
+            val = sum(map(mul, y, p))
+            if best is None or val > best:
+                best, best_i, tie = val, i, False
+            elif val == best:
+                tie = True
+        if not tie:
+            certified.add(best_i)
+    free = n - 1 if ray else n
+    slack = [0] if ray else []
+    kept = []
+    for i in range(m):
+        if i in certified:
+            kept.append(i)
+            continue
+        others = ints[:i] + ints[i + 1 :]
+        rows = [[p[k] for p in others] + slack for k in range(free)]
+        rows.append([d] * (m - 1) + slack)
+        rhs = list(ints[i][:free]) + [d]
+        if ray:
+            rows.append([p[-1] for p in others] + [d])
+            rhs.append(ints[i][-1])
+        if not _simplex.feasible_eq(rows, rhs)[0]:
+            kept.append(i)
+    return kept
+
+
 def _lower_rank_extremes(pts, rank):
     """Extreme points of a set whose affine hull has deficient dimension."""
     chart = Chart(pts)
     coords = [chart.coords_of_point(p) for p in pts]
-    kept = extreme_indices(coords)
+    kept = all_others_filter(coords)
     return [pts[i] for i in kept]
 
 
@@ -187,7 +242,7 @@ def polytope_vertices(dim, vertices):
         if rank == 0:
             pts = pts[:1]
         elif rank == dim:
-            pts = [pts[i] for i in extreme_indices(pts)]
+            pts = [pts[i] for i in all_others_filter(pts)]
         else:
             pts = _lower_rank_extremes(pts, rank)
     return tuple(sorted(pts))

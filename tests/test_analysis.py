@@ -174,6 +174,9 @@ def test_hinge_pair_issues_only_the_two_prunes(monkeypatch, k):
     monkeypatch.setattr(_simplex, "feasible_eq", recording)
     prune(base)
     f = prune(both)
+    # Two candidate slopes are both certified by the coordinate probes; with
+    # more, prune must reach feasible_eq, or the comparison below is vacuous.
+    assert programs or len(both.pieces) <= 2
     expected = list(programs)
     programs.clear()
     pair = hinge_pair(base, u, t, cw)

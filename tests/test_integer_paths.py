@@ -7,26 +7,35 @@ integers.  Here each is compared with the rational formula (and with the
 conftest oracles) over seeded inputs: dimensions 1-4, non-integer points,
 tied certificate maxima, duplicate slopes, lower-rank sets and single
 points.  The Monte Carlo shadow estimate is compared with the plain loop it
-replaced, which must count the same hits from the same stream.  For the filter the reference is the rational filter itself,
-with every LP it solves logged, so the test also pins down that the same
-points reach the same LPs, row for row up to the common scale.
+replaced, which must count the same hits from the same stream.
+
+For the filter there are two references.  The rational filter tests every
+uncertified point against all the others; its integer form, the filter the
+package used before it became output-sensitive, is kept as
+`hull_reference.all_others_filter`, and the two are checked against each
+other LP by LP, row for row up to the common scale.  `extreme_indices`,
+which tests each point against the extreme points found so far, must keep
+exactly the indices they keep, and its LPs must stay output-sized.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from convval import MaxAffineFn, Polytope, Q, SupportEvaluator, projection_body_support
 from convval import _simplex
+from convval._geometry import affine_rank
 from convval.generators import rand_polytope, rng_for
-from convval.linalg import dot, unit_vector
-from convval.maxaffine import _certify_directions, extreme_indices
-from convval.polytopes import _flat_area_vector, facet_area_vectors
+from convval.linalg import dot, int_scaled, nullspace, unit_vector, vadd, vneg, vsub
+from convval.maxaffine import _certify_directions, _int_directions, extreme_indices
+from convval.polytopes import _flat_area_vector, difference_body, facet_area_vectors
 from convval.suites import _polygon_halfplanes, mc_projection_area
 
 from conftest import affinely_spans, eval_all_pieces, in_hull_caratheodory, shoelace_area
+from hull_reference import all_others_filter, polytope_vertices
 
 _ONE = Q(1)
 _FEASIBLE_EQ = _simplex.feasible_eq
@@ -68,27 +77,33 @@ def reference_filter(points, ray, lp):
         if ray:
             rows.append([p[-1] for p in others] + [_ONE])
             rhs.append(points[i][-1])
-        if not lp(rows, rhs):
+        if not lp(rows, rhs)[0]:
             kept.append(i)
     return kept
 
 
 def logged(calls):
+    """feasible_eq, recording (rows, rhs, verdict) for every call."""
+
     def lp(rows, rhs):
-        verdict = _FEASIBLE_EQ(rows, rhs)
-        calls.append((rows, rhs, verdict))
-        return verdict
+        result = _FEASIBLE_EQ(rows, rhs)
+        calls.append((rows, rhs, result[0]))
+        return result
 
     return lp
 
 
 def assert_same_filter(points, ray, monkeypatch):
+    """extreme_indices keeps what both all-others filters keep.
+
+    The integer all-others filter must issue the rational filter's LPs one
+    for one, each row the rational row times one common d.
+    """
     ref_calls, calls = [], []
     expected = reference_filter(points, ray, logged(ref_calls))
     with monkeypatch.context() as mp:
         mp.setattr(_simplex, "feasible_eq", logged(calls))
-        got = extreme_indices(points, ray=ray)
-    assert got == expected
+        assert all_others_filter(points, ray=ray) == expected
     assert len(calls) == len(ref_calls)
     for (rows, rhs, verdict), (ref_rows, ref_rhs, ref_verdict) in zip(calls, ref_calls):
         assert verdict == ref_verdict
@@ -97,6 +112,8 @@ def assert_same_filter(points, ray, monkeypatch):
         assert all(type(v) is int for row in rows for v in row + rhs)
         assert rows == [[v * d for v in row] for row in ref_rows]
         assert rhs == [v * d for v in ref_rhs]
+    got = extreme_indices(points, ray=ray)
+    assert got == expected
     return got
 
 
@@ -251,6 +268,136 @@ def test_lifted_filter_keeps_the_lowest_of_equal_slopes(monkeypatch):
     pts = sorted((Q(a), Q(t)) for a, t in [(0, 0), (0, 1), (0, -2), (1, 5), (1, 3), (-1, 4)])
     got = assert_same_filter(pts, True, monkeypatch)
     assert [pts[i] for i in got] == [(-1, 4), (0, -2), (1, 3)]
+
+
+def probe_faced(dim, ray):
+    """Points on which no certificate direction has a unique maximizer.
+
+    All subset sums of a few generators (a zonotope with its inner points),
+    each generator orthogonal to dim + ray - 1 of the certificate
+    directions: every direction is maximized on a face that holds a segment
+    along some generator, so on at least two of the sums.
+    """
+    n = dim + ray
+    probes = [list(map(Q, y)) for y in _int_directions(n, ray)]
+    gens = {nullspace(probes[k : k + n - 1], n)[0] for k in range(0, len(probes), n - 1)}
+    pts = {(Q(0),) * n}
+    for g in gens:
+        pts |= {vadd(p, g) for p in pts}
+    return pts
+
+
+def filter_case(k):
+    """The k-th seeded point set: dims 1-4 in turn, every other pair with the ray."""
+    rng = rng_for(7900, "filter", k)
+    dim = 1 + k % 4
+    ray = k // 4 % 2 == 1
+    n = dim + ray
+    shape = rng.choice(("random", "random", "grid", "flat", "single"))
+    if k < 8 and n > 1:
+        pts = probe_faced(dim, ray)
+    elif shape == "single":
+        pts = {rpoint(rng, n)}
+    elif shape == "grid":
+        pts = {tuple(Q(rng.randint(-1, 1)) for _ in range(n)) for _ in range(rng.randint(3, 12))}
+    elif shape == "flat":
+        a, b, c = rpoint(rng, n), rpoint(rng, n), rpoint(rng, n)
+        if rng.random() < 0.5:
+            c = a
+        pts = {tuple(p + s * (q - p) + t * (r - p) for p, q, r in zip(a, b, c))
+               for s, t in [(rq(rng, 3, 3), rq(rng, 3, 3)) for _ in range(rng.randint(2, 8))]}
+    else:
+        pts = {rpoint(rng, n) for _ in range(rng.randint(2, 10))}
+    if ray and rng.random() < 0.3:
+        # Equal slopes: one point again at other heights.
+        p = rng.choice(sorted(pts))
+        pts |= {p[:-1] + (p[-1] + rq(rng),) for _ in range(2)}
+    return sorted(pts), ray
+
+
+def certified_indices(ints, ray):
+    """The points some certificate direction maximizes uniquely."""
+    certified = set()
+    for y in _int_directions(len(ints[0]), ray):
+        vals = [dot(y, p) for p in ints]
+        if vals.count(max(vals)) == 1:
+            certified.add(vals.index(max(vals)))
+    return certified
+
+
+def filter_kinds(pts, ray, kept):
+    """Which of the filter's special cases the point set exercises."""
+    if len(pts) == 1:
+        return {"single-point"}
+    kinds = set()
+    certified = certified_indices(int_scaled(pts)[0], ray)
+    if not certified:
+        kinds.add("all-tied")
+    if set(kept) - certified:
+        kinds.add("no-certificate")
+    if affine_rank(pts) < len(pts[0]):
+        kinds.add("lower-rank")
+    if ray and len({p[:-1] for p in pts}) < len(pts):
+        kinds.add("equal-slopes")
+    return kinds
+
+
+def test_filter_matches_all_others_filter_on_seeded_sets():
+    kinds = Counter()
+    for k in range(3000):
+        pts, ray = filter_case(k)
+        kept = extreme_indices(pts, ray=ray)
+        assert kept == all_others_filter(pts, ray=ray), (pts, ray)
+        kinds.update(filter_kinds(pts, ray, kept))
+        kinds[f"dim-{len(pts[0]) - ray}-ray-{ray}"] += 1
+    assert kinds["all-tied"] >= 7, kinds
+    for key in ("no-certificate", "lower-rank", "single-point", "equal-slopes"):
+        assert kinds[key] >= 300, (key, kinds)
+    assert min(kinds[f"dim-{d}-ray-{r}"] for d in range(1, 5) for r in (False, True)) >= 350, kinds
+
+
+def output_sensitive_cases(dim, rng):
+    """Seeded n^2 candidate sets: difference bodies, and lifted sums with the ray."""
+    for _ in range(3):
+        K = Polytope(dim, [rpoint(rng, dim, 30, 4) for _ in range(12)])
+        yield sorted({vsub(u, v) for u in K.vertices for v in K.vertices}), False
+    for _ in range(2):
+        f, h = [[rpoint(rng, dim, 12, 3) for _ in range(8)] for _ in range(2)]
+        yield sorted({vadd(p, q) for p in f for q in h}), True
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_filter_lps_are_output_sized(dim, monkeypatch):
+    rng = rng_for(7950, "output-sensitive", dim)
+    for pts, ray in output_sensitive_cases(dim, rng):
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(_simplex, "feasible_eq", logged(calls))
+            kept = extreme_indices(pts, ray=ray)
+        ints, d = int_scaled(pts)
+        free = len(pts[0]) - ray
+        vertices = {ints[i][:free] + (d,) + ints[i][free:] for i in kept}
+        uncertified = len(pts) - len(certified_indices(ints, ray))
+        assert len(kept) < uncertified
+        # One LP per uncertified point, not one per point and vertex found:
+        # a vertex that an LP's certificate finds is spared its own.
+        assert len(calls) == uncertified
+        for rows, rhs, _ in calls:
+            # Every column but the slack is a vertex found so far.
+            columns = list(zip(*rows))
+            if ray:
+                assert columns.pop() == (0,) * free + (0, d)
+            assert len(columns) <= len(kept)
+            assert set(columns) <= vertices
+
+
+def test_difference_body_vertices_match_all_others_filter():
+    rng = rng_for(7960, "difference-body")
+    K = Polytope(3, [rpoint(rng, 3, 30, 4) for _ in range(20)])
+    sums = [vadd(u, vneg(v)) for u in K.vertices for v in K.vertices]
+    body = difference_body(K)
+    assert body.vertices == polytope_vertices(3, sums)
+    assert len(body.vertices) > len(K.vertices)
 
 
 # -- projection and difference bodies -----------------------------------

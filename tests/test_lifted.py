@@ -25,6 +25,8 @@ from convval import (
     prune,
 )
 from convval import lifted
+from convval.analysis import hinge_pair
+from convval.errors import CapabilityLimit
 from convval.generators import paraboloid_tangents
 from convval.linalg import dot
 
@@ -300,6 +302,23 @@ def test_is_min_convex_skips_hull_pieces_and_stops_at_first_gap(monkeypatch):
     assert not is_min_convex(f, h)
     assert len(gaps) == 1 and gaps[0] > 0
 
+
+def test_gap_pass_refuses_past_its_budget_before_any_program(monkeypatch):
+    # A hinge pair over 60 parabola pieces is min-convex, and 30 x 31 of its
+    # piece pairs have no hull piece: past the budget of gap programs.
+    base = MaxAffineFn(1, [((Q(i),), Q(-i * i, 2)) for i in range(60)])
+    pair = hinge_pair(base, (Q(1),), Q(30), Q(1))
+
+    def unreachable(*args):
+        raise AssertionError("gap program issued")
+
+    monkeypatch.setattr(lifted, "_gap_above_hull", unreachable)
+    with pytest.raises(CapabilityLimit, match="930 programs, more than the supported 500"):
+        is_min_convex(pair.f, pair.h)
+    # The budget is the only thing in the way: at 930 the gap pass starts.
+    monkeypatch.setattr(lifted, "MAX_GAP_PAIRS", 930)
+    with pytest.raises(AssertionError, match="gap program issued"):
+        is_min_convex(pair.f, pair.h)
 
 def test_min_convex_hull_is_largest_convex_minorant():
     f = mf(1, ((1,), 0), ((-1,), 0))

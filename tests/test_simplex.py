@@ -77,8 +77,9 @@ def test_degenerate_rhs_zero():
 
 
 def test_feasible_eq_wrapper():
-    assert feasible_eq([[Q(1), Q(1)]], [Q(2)])
-    assert not feasible_eq([[Q(1), Q(1)]], [Q(-2)])
+    assert feasible_eq([[Q(1), Q(1)]], [Q(2)]) == (True, None)
+    # x + y = -2 is refuted by y = -1: -1 * (1, 1) <= 0 and -1 * -2 > 0.
+    assert feasible_eq([[Q(1), Q(1)]], [Q(-2)]) == (False, [-1])
 
 
 def test_redundant_rows_are_handled():
@@ -252,6 +253,19 @@ def _assert_same_solution(got, want):
         assert type(value) is Q and all(type(v) is Q for v in x)
 
 
+def _assert_same_verdict(A, b, want):
+    """feasible_eq gives the oracle's verdict, and refutes with a Farkas vector."""
+    feasible, y = feasible_eq(A, b)
+    assert feasible == want
+    if feasible:
+        assert y is None
+        return
+    assert len(y) == len(A) and all(type(v) is int for v in y)
+    for j in range(len(A[0])):
+        assert sum(v * row[j] for v, row in zip(y, A)) <= 0
+    assert sum(v * bi for v, bi in zip(y, b)) > 0
+
+
 def test_integer_kernel_matches_rational_tableau_on_seeded_corpus():
     oracle = _Oracle()
     statuses = Counter()
@@ -259,7 +273,7 @@ def test_integer_kernel_matches_rational_tableau_on_seeded_corpus():
         A, b, c = _rand_program(rng_for(1, "simplex-corpus", k))
         want = oracle.solve_eq(A, b, c)
         _assert_same_solution(solve_eq(A, b, c), want)
-        assert feasible_eq(A, b) == oracle.feasible_eq(A, b)
+        _assert_same_verdict(A, b, oracle.feasible_eq(A, b))
         statuses[want[0]] += 1
     # The corpus reaches every branch the two kernels must agree on.
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 200, statuses
@@ -286,7 +300,7 @@ def test_integer_kernel_matches_rational_tableau_on_prune_programs(monkeypatch):
     verdicts = Counter()
     for A, b in programs:
         want = oracle.feasible_eq(A, b)
-        assert feasible_eq(A, b) == want
+        _assert_same_verdict(A, b, want)
         verdicts[want] += 1
         # The same polyhedra, minimizing the last column and then its negation.
         for sign in (1, -1):
