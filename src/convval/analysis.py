@@ -75,6 +75,21 @@ def homogeneous_decompose(mu, f):
     return list(coeffs)
 
 
+def require_homogeneous(mu, degree, funcs):
+    """Raise ValueError unless mu sees only degree-k behavior along each f.
+
+    Each function's scalings go through `homogeneous_decompose`; a nonzero
+    coefficient of any other degree fails.
+    """
+    for f in funcs:
+        coeffs = homogeneous_decompose(mu, f)
+        for j, cj in enumerate(coeffs):
+            if j != degree and cj != 0:
+                raise ValueError(
+                    f"valuation is not {degree}-homogeneous: degree {j} coefficient {cj}"
+                )
+
+
 def polarize(mu, degree, funcs, check=True):
     """Symmetric multilinear polarization of a degree-homogeneous valuation.
 
@@ -82,7 +97,7 @@ def polarize(mu, degree, funcs, check=True):
     (1/k!) sum over subsets S of [k] of (-1)^(k-|S|) mu(sum of f_j, j in S),
     which recovers mu on the diagonal and is symmetric in its arguments.
     With check=True each argument is first verified to see only degree-k
-    behavior through `homogeneous_decompose`.
+    behavior (`require_homogeneous`).
     """
     funcs = list(funcs)
     k = int(degree)
@@ -96,13 +111,7 @@ def polarize(mu, degree, funcs, check=True):
     if mu.degree_bound < k:
         raise ValueError("declared degree bound is below the polarization degree")
     if check:
-        for f in funcs:
-            coeffs = homogeneous_decompose(mu, f)
-            for j, cj in enumerate(coeffs):
-                if j != k and cj != 0:
-                    raise ValueError(
-                        f"valuation is not {k}-homogeneous: degree {j} coefficient {cj}"
-                    )
+        require_homogeneous(mu, k, funcs)
     total = _ZERO
     zero = MaxAffineFn.zero(dim)
     for r in range(k + 1):

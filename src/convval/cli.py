@@ -108,9 +108,17 @@ def _load_function(path):
     raise ParseError("expected a function or lifted-polytope document", path)
 
 
+def _parse_point(text, flag, dim, what="point"):
+    """A vector option of the right length, or a ParseError at the flag."""
+    vec = parse_vector(text, flag)
+    if len(vec) != dim:
+        raise ParseError(f"{what} has length {len(vec)}, expected {dim}", flag)
+    return vec
+
+
 def _cmd_eval(args):
     obj = _load_function(args.function)
-    point = parse_vector(args.point, "--point")
+    point = _parse_point(args.point, "--point", obj.dim)
     value = obj.evaluate(point)
     if value is POS_INF:
         _emit(args, "inf", {"kind": "str", "value": "inf"})
@@ -137,7 +145,7 @@ def _cmd_projbody(args):
     body = load_path(args.polytope)
     if not isinstance(body, Polytope):
         raise ParseError("expected a polytope document", args.polytope)
-    u = parse_vector(args.direction, "--direction")
+    u = _parse_point(args.direction, "--direction", body.dim, "direction")
     value = projection_body_support(body, u)
     _emit(args, format_rational(value), value_to_doc(value))
     return 0
@@ -159,8 +167,10 @@ def _cmd_psi(args):
     f = load_path(args.function)
     if not isinstance(f, MaxAffineFn):
         raise ParseError("expected a function document", args.function)
+    if f.dim != spec.dim:
+        raise ParseError(f"function dim {f.dim}, valuation dim {spec.dim}", args.function)
     if args.point is not None:
-        point = parse_vector(args.point, "--point")
+        point = _parse_point(args.point, "--point", spec.dim)
         value = psi_eval(spec, f, point)
         _emit(args, format_rational(value), value_to_doc(value))
     else:

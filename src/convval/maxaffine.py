@@ -78,13 +78,26 @@ class MaxAffineFn:
         x = rat_vector(x)
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has length {len(x)}, expected {self.dim}")
+        (xi,), dx = int_scaled([x])
+        den, (top,) = self._maxima_at(xi, dx, ((1, 1),))
+        return Q(top, den * dx)
+
+    __call__ = evaluate
+
+    def _maxima_at(self, xi, dx, scales):
+        """f at the point s * xi / dx for each scale s = p / q, as integers.
+
+        xi is an integer vector, dx > 0 and each scale a pair (p, q) with
+        q > 0.  With the pieces' integer image (A_r, b_r) / den, one dot
+        d_r = A_r . xi per piece serves every scale: f(s xi / dx) is
+        max_r (p d_r + q dx b_r) / (q dx den).  Returns (den, the maxima).
+        """
         if self._ints is None:
             object.__setattr__(self, "_ints", int_scaled([a + (b,) for a, b in self.pieces]))
         rows, den = self._ints
-        (xi,), dx = int_scaled([x + (1,)])
-        return Q(max(sum(map(mul, r, xi)) for r in rows), den * dx)
-
-    __call__ = evaluate
+        # map stops at the shorter xi, so the dot skips the offset column.
+        pairs = [(sum(map(mul, r, xi)), dx * r[-1]) for r in rows]
+        return den, [max([p * d + q * b for d, b in pairs]) for p, q in scales]
 
     def offset(self, delta):
         """Pointwise addition of a constant; never changes which pieces win."""

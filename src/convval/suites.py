@@ -31,6 +31,7 @@ from .analysis import (
     homogeneous_decompose,
     locality_check,
     polarize,
+    require_homogeneous,
     valuation_identity_check,
 )
 from .errors import ParseError
@@ -207,7 +208,8 @@ def _absent(inputs, observed, expected, note):
 @lru_cache(maxsize=1)
 def _memo(fn, *args):
     """fn(*args) for a pure fn of immutable arguments, kept for an immediate
-    repeat: two checks of one case share one difference body or shadow area."""
+    repeat: two checks of one case share one difference body, shadow area or
+    polarization."""
     return fn(*args)
 
 
@@ -291,18 +293,32 @@ def _decomposition(spec, x):
                       (spec.c, mu(f) - spec.c) + (_ZERO,) * (spec.dim - 1))
 
 
+def _polarized_product(spec, x, y, f1, f2):
+    """The probe product polarized at (f1, f2), unchecked.  Pure in its
+    arguments, so the oracle and symmetry checks of one case share it
+    through _memo."""
+    mu, _, _ = _product_valuation(spec, x, y)
+    return polarize(mu, 2, (f1, f2), check=False)
+
+
 @_check("polarization-oracle", spec="valuation", x="vector", y="vector", f1="function",
         f2="function")
 def _polarization_oracle(spec, x, y):
     mu, a, b = _product_valuation(spec, x, y)
-    return lambda f1, f2: (polarize(mu, 2, (f1, f2)), (a(f1) * b(f2) + a(f2) * b(f1)) / 2)
+
+    def sides(f1, f2):
+        value = _memo(_polarized_product, spec, x, y, f1, f2)
+        require_homogeneous(mu, 2, (f1, f2))
+        return value, (a(f1) * b(f2) + a(f2) * b(f1)) / 2
+
+    return sides
 
 
 @_check("polarization-symmetry", spec="valuation", x="vector", y="vector", f1="function",
         f2="function")
 def _polarization_symmetry(spec, x, y):
     mu, _, _ = _product_valuation(spec, x, y)
-    return lambda f1, f2: (polarize(mu, 2, (f1, f2), check=False),
+    return lambda f1, f2: (_memo(_polarized_product, spec, x, y, f1, f2),
                            polarize(mu, 2, (f2, f1), check=False))
 
 

@@ -11,6 +11,11 @@ The measure is a finite list of weighted atoms (s_j, w_j) with s_j nonzero
 and w_j >= 0.  Outputs are convex in x by construction; `psi_eval` computes
 single values, `psi_expand` materializes the output as a max-affine function.
 
+`psi_eval` works on f's cached integer image: x is scaled to integers once,
+one integer dot per piece gives f(0) and every f(s_j x) as integer maxima,
+and the weighted sum is taken over one integer common denominator, so a
+value is a single rational built at the end, never a sum of rationals.
+
 Invariance under adding affine functions ("dual epi-translation invariance")
 holds exactly when sum_j w_j / s_j = 0 (for the third family also c = 0,
 since c f(0) feels constant shifts).  The sampled checks of this and the
@@ -18,17 +23,17 @@ other defining properties (equivariance, planar contravariance) are written
 once, in the registry `suites.CHECKS`, which files their exact witnesses.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, PieceBudgetExceeded
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, int_scaled
 from .maxaffine import MaxAffineFn, add, compose_linear, scale
 from .rational import Q, rat, rat_vector
 
 VARIANTS = ("equivariant", "contravariant-2d", "gl-endomorphism")
 
 _ZERO = Q(0)
-_ONE = Q(1)
 
 DEFAULT_PIECE_CAP = 100_000
 
@@ -155,22 +160,35 @@ def _argument_point(spec, s, x):
 
 
 def psi_eval(spec, f, x):
-    """Value of the valuation's output function at x."""
+    """Value of the valuation's output function at x.
+
+    One integer pass over f's pieces: x is scaled to integers xi / dx once
+    (and quarter-turned for the contravariant family), and f at 0 and at
+    every s_j x comes from one dot per piece (`MaxAffineFn._maxima_at`).
+    With s_j = p_j / q_j, M_0 = dx den f(0) and M_j = q_j dx den f(s_j x),
+    the sum over atoms is sum_j w_j q_j (M_j - q_j M_0) / (p_j^2 dx den);
+    it is taken over one integer common denominator, and the value, c or
+    c f(0) included, is a single rational built at the end.
+    """
     if f.dim != spec.dim:
         raise DimensionMismatch(f"function dim {f.dim}, valuation dim {spec.dim}")
     x = rat_vector(x)
     if len(x) != spec.dim:
         raise DimensionMismatch(f"point has length {len(x)}, expected {spec.dim}")
-    f0 = f((_ZERO,) * spec.dim)
-    if spec.variant == "gl-endomorphism":
-        total = spec.c * f0
-    else:
-        total = spec.c
-    for s, w in spec.nu.atoms:
-        if w == 0:
-            continue
-        total += w * (f(_argument_point(spec, s, x)) - f0) / (s * s)
-    return total
+    (xi,), dx = int_scaled([x])
+    if spec.variant == "contravariant-2d":
+        xi = (-xi[1], xi[0])
+    atoms = [(s.numerator, s.denominator, w) for s, w in spec.nu.atoms if w != 0]
+    den, (m0, *maxima) = f._maxima_at(xi, dx, [(0, 1)] + [(p, q) for p, q, _ in atoms])
+    # Each atom's term is num_j / den_j over dx den; lcm the den_j once.
+    terms = [(w.numerator * q * (m - q * m0), w.denominator * p * p)
+             for (p, q, w), m in zip(atoms, maxima)]
+    common = math.lcm(*(d for _, d in terms))
+    total = sum(n * (common // d) for n, d in terms)
+    scale_den = common * dx * den
+    c = spec.c
+    head = c.numerator * (m0 * common if spec.variant == "gl-endomorphism" else scale_den)
+    return Q(head + c.denominator * total, c.denominator * scale_den)
 
 
 def psi_expand(spec, f, piece_cap=DEFAULT_PIECE_CAP):

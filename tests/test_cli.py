@@ -218,6 +218,30 @@ def test_malformed_dim_exits_two_with_location(capsys, files, bad):
         assert ".dim: expected an integer dimension" in err, argv
 
 
+def test_eval_point_of_wrong_length_exits_two_at_the_flag(capsys, files):
+    code, out, err = run(capsys, "eval", files["three"], "--point", "1,2,3")
+    assert code == 2
+    assert err == "error: --point: point has length 3, expected 2\n"
+
+
+def test_psi_dim_mismatch_exits_two_at_the_function_or_flag(capsys, files):
+    code, out, err = run(capsys, "psi", files["spec1d"], files["three"], "--point", "1")
+    assert code == 2
+    assert err == f"error: {files['three']}: function dim 2, valuation dim 1\n"
+    code, out, err = run(capsys, "psi", files["spec1d"], files["three"])
+    assert code == 2
+    assert err == f"error: {files['three']}: function dim 2, valuation dim 1\n"
+    code, out, err = run(capsys, "psi", files["spec1d"], files["absval"], "--point", "1,2")
+    assert code == 2
+    assert err == "error: --point: point has length 2, expected 1\n"
+
+
+def test_projbody_direction_of_wrong_length_exits_two_at_the_flag(capsys, files):
+    code, out, err = run(capsys, "projbody", files["square"], "--direction", "1")
+    assert code == 2
+    assert err == "error: --direction: direction has length 1, expected 2\n"
+
+
 def test_vertex_length_error_exits_two_with_location(capsys, files):
     bad = files["dir"] / "short_vertex.json"
     bad.write_text(json.dumps({"dim": 2, "vertices": [["0/1", "0/1"], ["1/1"]]}))

@@ -237,3 +237,19 @@ def test_missing_phenomena_are_filed_as_unreplayable(monkeypatch):
         with pytest.raises(ParseError, match="not a comparison; it is not replayable"):
             replay_witness(w)
 
+
+def test_even_polarize_case_polarizes_each_argument_order_once(monkeypatch):
+    """The oracle and symmetry checks share polarize(mu, 2, (f1, f2)); the
+    symmetry check adds only (f2, f1), the diagonal only (f1, f1)."""
+    real = suites.polarize
+    orders = []
+
+    def recording(mu, degree, funcs, check=True):
+        orders.append(tuple(funcs))
+        return real(mu, degree, funcs, check)
+
+    monkeypatch.setattr(suites, "polarize", recording)
+    suites._memo.cache_clear()  # an earlier thm-2-1 run may hold this case's value
+    suites._polarize_case(1, 0)
+    (f1, f2), _, _ = orders
+    assert orders == [(f1, f2), (f2, f1), (f1, f1)]
