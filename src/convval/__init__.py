@@ -58,9 +58,9 @@ from .maxaffine import (
 )
 from .polytopes import (
     Polytope,
-    SupportEvaluator,
     cut_pair,
     difference_body,
+    difference_body_support,
     facet_area_vectors,
     minkowski_sum,
     projection_body_support,
@@ -105,7 +105,6 @@ __all__ = [
     "SUITES",
     "ScalarValuation",
     "SuiteReport",
-    "SupportEvaluator",
     "ValuationSpec",
     "add",
     "compose_linear",
@@ -114,6 +113,7 @@ __all__ = [
     "convergence_probe",
     "cut_pair",
     "difference_body",
+    "difference_body_support",
     "emit_report",
     "facet_area_vectors",
     "falsify_contravariance",

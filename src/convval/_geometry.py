@@ -2,13 +2,13 @@
 
 Everything operates on tuples of rationals.  Predicates (hyperplane sides,
 determinant signs) run on integer-rescaled copies of the input so the inner
-loops stay in machine-friendly integer arithmetic; measured quantities
-(volumes, area vectors) are returned in the original coordinates.  Every
-elimination (determinants, the chart's basis and coordinate rows, candidate
-vertex systems) is the one fraction-free kernel, linalg.int_rref.  Vertex
-enumeration is fraction-free from start to finish: each row is scaled once
-to a primitive integer row, every candidate system is solved by int_solve,
-and only the accepted vertices are turned into rationals.
+loops stay in machine-friendly integer arithmetic; volumes are returned in
+the original coordinates.  Every elimination (determinants, the chart's
+basis and coordinate rows, candidate vertex systems) is the one
+fraction-free kernel, linalg.int_rref.  Vertex enumeration is fraction-free
+from start to finish: each row is scaled once to a primitive integer row,
+every candidate system is solved by int_solve, and only the accepted
+vertices are turned into rationals.
 
 The algorithms are exhaustive rather than incremental: one
 supporting-hyperplane search over generator subsets (_supporting_hyperplanes)
@@ -190,7 +190,12 @@ def triangulate(points, d):
 
 
 def volume(points, d):
-    """Exact d-volume of the convex hull; zero when lower-dimensional."""
+    """Exact d-volume of the convex hull; zero when lower-dimensional.
+
+    In dimension one the hull is an interval and its length is max - min.
+    """
+    if d == 1:
+        return max(p[0] for p in points) - min(p[0] for p in points)
     if len(points) <= d or affine_rank(points) < d:
         return _ZERO
     ints, denom = int_scaled(points)
@@ -200,44 +205,6 @@ def volume(points, d):
         rows = [tuple(ints[i][j] - base[j] for j in range(d)) for i in simplex[1:]]
         total += abs(int_det(rows))
     return Q(total, math.factorial(d) * denom**d)
-
-
-def cyclic_order(points2d):
-    """Indices of planar points in counterclockwise order around their mean.
-
-    The points are assumed to lie on the boundary of a convex polygon whose
-    mean is interior, which makes the angular order strict and exact.
-    """
-    m = len(points2d)
-    cx = sum((p[0] for p in points2d), _ZERO) / m
-    cy = sum((p[1] for p in points2d), _ZERO) / m
-
-    def half(i):
-        dx = points2d[i][0] - cx
-        dy = points2d[i][1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cross(i, j):
-        dxi = points2d[i][0] - cx
-        dyi = points2d[i][1] - cy
-        dxj = points2d[j][0] - cx
-        dyj = points2d[j][1] - cy
-        return dxi * dyj - dyi * dxj
-
-    import functools
-
-    def cmp(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = cross(i, j)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return sorted(range(m), key=functools.cmp_to_key(cmp))
 
 
 class Chart:

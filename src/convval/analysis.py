@@ -17,9 +17,10 @@ from itertools import combinations
 
 from .errors import DimensionMismatch
 from .linalg import RationalMatrix, dot, solve_square, unit_vector
+from .lifted import _hull_of_pruned, _is_min_convex_pruned
 from .maxaffine import MaxAffineFn, add, compose_linear, max_of, prune, scale
 from .rational import Q, rat, rat_vector
-from .valuations import psi_eval
+from .valuations import ValuationSpec, _argument_point, psi_eval
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -237,8 +238,6 @@ def valuation_identity_check(mu, f, h=None, fmax=None, fmin=None):
     if fmax is None:
         fmax = max_of(f, h)
     if fmin is None:
-        from .lifted import _hull_of_pruned, _is_min_convex_pruned
-
         if f.dim != h.dim:
             raise DimensionMismatch(f"dimensions {f.dim} and {h.dim} differ")
         fp = prune(f)
@@ -290,8 +289,6 @@ def locality_check(spec, f, x, ell=None, rng=None):
     """
     x = rat_vector(x)
     probes = [(_ZERO,) * spec.dim]
-    from .valuations import _argument_point
-
     for s, _ in spec.nu.atoms:
         probes.append(_argument_point(spec, s, x))
     if ell is None:
@@ -368,8 +365,6 @@ def convergence_probe(spec, f, h, x, steps=8):
     family keeps its c f(0) sensitivity, handled by evaluating its own
     formula on h.  Failure returns the first exact mismatch.
     """
-    from .valuations import ValuationSpec
-
     x = rat_vector(x)
     if spec.variant == "gl-endomorphism":
         hspec = spec

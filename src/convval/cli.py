@@ -130,14 +130,10 @@ def _cmd_eval(args):
 def _cmd_conjugate(args):
     obj = _load_function(args.function)
     if isinstance(obj, MaxAffineFn):
-        out = conjugate(obj)
-        doc = lifted_to_doc(out)
-        human = dump_json(doc)
+        doc = lifted_to_doc(conjugate(obj))
     else:
-        out = conjugate_cd(obj)
-        doc = function_to_doc(out)
-        human = dump_json(doc)
-    _emit(args, human, doc)
+        doc = function_to_doc(conjugate_cd(obj))
+    _emit(args, dump_json(doc), doc)
     return 0
 
 
@@ -234,9 +230,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.verb](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,9 @@ stays quick and witnesses stay readable.
 
 import random
 
+from itertools import product
+
+from .analysis import hinge_pair
 from .linalg import RationalMatrix
 from .maxaffine import MaxAffineFn, prune
 from .polytopes import Polytope
@@ -123,8 +126,6 @@ def rand_valid_measure(rng, max_positive=2):
 
 
 def rand_hinge_pair(rng, dim, base_pieces=6):
-    from .analysis import hinge_pair
-
     base = rand_maxaffine(rng, dim, base_pieces)
     u = tuple(rng.randint(-3, 3) for _ in range(dim))
     if all(v == 0 for v in u):
@@ -143,9 +144,7 @@ def paraboloid_tangents(dim=2, grid=2, spacing=1):
     """
     pts = []
     rng_vals = range(-grid, grid + 1)
-    import itertools
-
-    for p in itertools.product(rng_vals, repeat=dim):
+    for p in product(rng_vals, repeat=dim):
         p = tuple(Q(v) * spacing for v in p)
         slope = tuple(2 * v for v in p)
         offset = -sum((v * v for v in p), _ZERO)

@@ -190,12 +190,6 @@ class RationalMatrix:
             object.__setattr__(self, "_det", d)
         return self._det
 
-    def is_invertible(self):
-        return self.det() != 0
-
-    def is_special(self):
-        return self.det() == _ONE
-
     def transpose(self):
         return RationalMatrix(tuple(zip(*self.rows)))
 

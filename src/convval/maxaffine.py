@@ -311,13 +311,5 @@ def prune(f):
         return f
     if f.dim == 1:
         return MaxAffineFn(1, _prune_1d(pieces))
-    # Parallel pieces: keep only the highest offset per slope.
-    best = {}
-    for a, b in pieces:
-        if a not in best or b > best[a]:
-            best[a] = b
-    pieces = [(a, b) for a, b in best.items()]
-    if len(pieces) == 1:
-        return MaxAffineFn(f.dim, pieces)
     kept = extreme_indices([a + (-b,) for a, b in pieces], ray=True)
     return MaxAffineFn(f.dim, [pieces[i] for i in kept])

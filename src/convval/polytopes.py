@@ -14,7 +14,7 @@ identity checks cheap and independent of hull enumeration.
 from itertools import combinations
 from operator import mul
 
-from ._geometry import affine_rank, cyclic_order, facet_enum, volume as _hull_volume
+from ._geometry import affine_rank, facet_enum, volume as _hull_volume
 from .errors import CapabilityLimit, DimensionMismatch
 from .linalg import dot, int_scaled, nullspace, vadd, vneg, vsub
 from .maxaffine import extreme_indices
@@ -22,8 +22,6 @@ from .rational import Q, rat, rat_vector
 
 MAX_DIM = 4
 AREA_VECTOR_DIMS = (2, 3)
-
-_ZERO = Q(0)
 
 
 class Polytope:
@@ -141,65 +139,55 @@ def volume(K):
 
 
 def facet_area_vectors(K):
-    """Outward facet normals scaled by facet (dim-1)-volume.
+    """Outward facet normals scaled by facet (dim-1)-volume, in facet order.
 
-    Supported in dimensions 2 and 3 for full-dimensional bodies.  The vectors
-    sum to zero (closedness of the boundary), which tests rely on.
+    Supported in dimensions 2 and 3 for full-dimensional bodies.  Each
+    vector is _area_vector of the facet's vertices and outward normal, so a
+    positive multiple of that normal.  The vectors sum to zero (closedness
+    of the boundary), which tests rely on.
     """
     if K.dim not in AREA_VECTOR_DIMS:
         raise CapabilityLimit(f"facet area vectors are supported in dimensions {AREA_VECTOR_DIMS}")
     if K.affine_dim() != K.dim:
         raise ValueError("facet area vectors need a full-dimensional body")
-    if "area_vectors" in K._cache:
-        return K._cache["area_vectors"]
-    out = []
-    verts = K.vertices
-    for normal, support in K.facets():
-        vec = _area_vector([verts[i] for i in sorted(support)], normal)
-        side = dot(vec, rat_vector(normal))
-        if side < 0:
-            vec = vneg(vec)
-        elif side == 0:
-            raise AssertionError("degenerate facet area vector")
-        out.append(vec)
-    K._cache["area_vectors"] = out
-    return out
+    if "area_vectors" not in K._cache:
+        verts = K.vertices
+        K._cache["area_vectors"] = [_area_vector([verts[i] for i in support], normal)
+                                    for normal, support in K.facets()]
+    return K._cache["area_vectors"]
 
 
 def _flat_area_vector(K):
     """Area vector of a body of affine dimension dim-1 (sign arbitrary)."""
-    if "flat_area_vector" in K._cache:
-        return K._cache["flat_area_vector"]
-    verts = list(K.vertices)
-    normal = None
-    if K.dim == 3:
-        normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], 3)[0]
-    vec = _area_vector(verts, normal)
-    K._cache["flat_area_vector"] = vec
-    return vec
+    if "flat_area_vector" not in K._cache:
+        verts = list(K.vertices)
+        normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], K.dim)[0]
+        K._cache["flat_area_vector"] = _area_vector(verts, normal)
+    return K._cache["flat_area_vector"]
 
 
 def _area_vector(pts, normal):
-    """Normal scaled by the (dim-1)-volume of a flat convex piece (sign arbitrary).
+    """Normal scaled by the (dim-1)-volume of a flat convex piece with that normal.
 
-    In dimension 2 the piece is the segment between pts[0] and pts[-1]; in
-    dimension 3 it is the polygon on pts, in a plane with the given normal,
-    and the vector is its shoelace sum, taken in the cyclic order of the
-    points projected along a nonzero coordinate of the normal.
+    Take a coordinate k with normal[k] != 0.  The piece's shadow with
+    coordinate k dropped has |normal[k]| / |normal| times the piece's
+    volume, so the area vector is normal times the shadow's volume over
+    |normal[k]|: the normal's length cancels and the value stays rational.
     """
-    if len(pts[0]) == 2:
-        d = vsub(pts[-1], pts[0])
-        return (d[1], -d[0])
     k = next(j for j, v in enumerate(normal) if v != 0)
-    ring = [pts[i] for i in cyclic_order([p[:k] + p[k + 1 :] for p in pts])]
-    sx = sy = sz = _ZERO
-    for i in range(len(ring)):
-        a = ring[i]
-        b = ring[(i + 1) % len(ring)]
-        sx += a[1] * b[2] - a[2] * b[1]
-        sy += a[2] * b[0] - a[0] * b[2]
-        sz += a[0] * b[1] - a[1] * b[0]
-    return (sx / 2, sy / 2, sz / 2)
+    shadow = _hull_volume([p[:k] + p[k + 1 :] for p in pts], len(normal) - 1)
+    ratio = shadow / abs(normal[k])
+    return tuple(ratio * v for v in normal)
+
+
+def difference_body_support(K, u):
+    """Support function of the difference body: h_K(u) + h_K(-u).
+
+    The width of K in direction u, max - min of <u, v> over the vertices,
+    evaluated without building D K.
+    """
+    dots, den = K._int_dots(u)
+    return Q(max(dots) - min(dots), den)
 
 
 def projection_body_support(K, u):
@@ -262,47 +250,3 @@ def cut_pair(P, w, t):
     L = Polytope(P.dim, above)
     M = Polytope(P.dim, section)
     return K, L, M
-
-
-class SupportEvaluator:
-    """Exact support-function evaluation for a body or a derived body.
-
-    Derived kinds never materialize their vertex sets: the difference body
-    evaluates as h_K(u) + h_K(-u), the projection body through facet area
-    vectors.  This keeps identity checks independent of hull enumeration.
-    """
-
-    __slots__ = ("kind", "body")
-
-    _KINDS = ("body", "difference", "projection")
-
-    def __init__(self, kind, body):
-        if kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if not isinstance(body, Polytope):
-            raise TypeError("SupportEvaluator wraps a Polytope")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportEvaluator is immutable")
-
-    @classmethod
-    def of_body(cls, K):
-        return cls("body", K)
-
-    @classmethod
-    def of_difference(cls, K):
-        return cls("difference", K)
-
-    @classmethod
-    def of_projection(cls, K):
-        return cls("projection", K)
-
-    def value(self, u):
-        if self.kind == "body":
-            return self.body.support(u)
-        if self.kind == "difference":
-            dots, den = self.body._int_dots(u)
-            return Q(max(dots) - min(dots), den)
-        return projection_body_support(self.body, u)

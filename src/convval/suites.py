@@ -54,9 +54,9 @@ from .linalg import dot, unit_vector
 from .maxaffine import add, compose_linear, scale
 from .polytopes import (
     Polytope,
-    SupportEvaluator,
     cut_pair,
     difference_body,
+    difference_body_support,
     projection_body_support,
     volume,
 )
@@ -105,6 +105,7 @@ CANONICAL_MEASURE = VALID_MEASURES[0]
 CUT_DIRECTIONS = 50
 MC_SAMPLES = 100_000
 MC_TOLERANCE = 0.01
+MC_PAD = 0.125
 
 
 @dataclass
@@ -342,10 +343,9 @@ def _lifted_pairing(spec, f):
 
 @_check("cut-identity", kind="str", P="polytope", w="vector", t="rational", u="vector")
 def _cut_identity(kind, P, w, t):
-    make = SupportEvaluator.of_difference if kind == "difference" else SupportEvaluator.of_projection
-    below, above, section = (make(K) for K in cut_pair(P, w, t))
-    body = make(P)
-    return lambda u: (below.value(u) + above.value(u), body.value(u) + section.value(u))
+    support = difference_body_support if kind == "difference" else projection_body_support
+    below, above, section = cut_pair(P, w, t)
+    return lambda u: (support(below, u) + support(above, u), support(P, u) + support(section, u))
 
 
 @_check("difference-exact", P="polytope", expected="polytope")
@@ -541,7 +541,7 @@ def _polygon_halfplanes(poly):
     return out
 
 
-def mc_projection_area(P, axis, samples, rng, pad=0.125):
+def mc_projection_area(P, axis, samples, rng):
     """Monte Carlo shadow area: drop `axis`, sample a padded bounding box.
 
     Floats only; the exact half-plane description of the shadow is converted
@@ -553,8 +553,8 @@ def mc_projection_area(P, axis, samples, rng, pad=0.125):
               for n, off in _polygon_halfplanes(shadow)]
     xs = [float(p[0]) for p in pts]
     ys = [float(p[1]) for p in pts]
-    lo_x, hi_x = min(xs) - pad, max(xs) + pad
-    lo_y, hi_y = min(ys) - pad, max(ys) + pad
+    lo_x, hi_x = min(xs) - MC_PAD, max(xs) + MC_PAD
+    lo_y, hi_y = min(ys) - MC_PAD, max(ys) + MC_PAD
     width = hi_x - lo_x
     height = hi_y - lo_y
     draw = rng.random
@@ -695,7 +695,7 @@ _CASES = {
 }
 
 
-def _run_case(index, name, case, args):
+def _run_case(name, case, args):
     """Run one case; (its witness if it failed, the exhibit it filed)."""
     try:
         return None, case(*args)
@@ -720,7 +720,7 @@ def run_suite(name, seed, trials=None):
     witnesses = []
     exhibits = []
     for index, (case_name, case, args) in enumerate(cases):
-        witness, exhibit = _run_case(index, case_name, case, args)
+        witness, exhibit = _run_case(case_name, case, args)
         if witness is not None:
             witnesses.append(dict(witness, case=case_name, index=index))
         if exhibit is not None:

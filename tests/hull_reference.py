@@ -11,8 +11,12 @@ before it became output-sensitive: it tests every uncertified point against
 all the other points, one LP each.  The bodies are kept as they were, apart
 from reading the verdict out of feasible_eq's (verdict, certificate) pair;
 `polytope_vertices` is the old canonicalization of Polytope.__init__, around
-them.  The differential tests in test_hull.py and test_integer_paths.py
-compare the package with them.
+them.  `cyclic_order` and `_area_vector` are the angular sort and shoelace
+sum that gave facet and flat area vectors before every such measure came
+from _geometry.volume; `facet_area_vectors` and `flat_area_vector` are the
+old polytopes functions around them, sign fix included.  The differential
+tests in test_hull.py and test_integer_paths.py compare the package with
+them.
 """
 
 import math
@@ -23,9 +27,9 @@ from operator import mul
 from convval import _simplex
 from convval._geometry import Chart, _cross_normal, _primitive, affine_rank, primitive_row
 from convval.errors import CapabilityLimit
-from convval.linalg import dot, int_scaled
+from convval.linalg import dot, int_scaled, nullspace, vneg, vsub
 from convval.maxaffine import _int_directions
-from convval.rational import Q
+from convval.rational import Q, rat_vector
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -246,3 +250,88 @@ def polytope_vertices(dim, vertices):
         else:
             pts = _lower_rank_extremes(pts, rank)
     return tuple(sorted(pts))
+
+
+def cyclic_order(points2d):
+    """Indices of planar points in counterclockwise order around their mean.
+
+    The points are assumed to lie on the boundary of a convex polygon whose
+    mean is interior, which makes the angular order strict and exact.
+    """
+    m = len(points2d)
+    cx = sum((p[0] for p in points2d), _ZERO) / m
+    cy = sum((p[1] for p in points2d), _ZERO) / m
+
+    def half(i):
+        dx = points2d[i][0] - cx
+        dy = points2d[i][1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cross(i, j):
+        dxi = points2d[i][0] - cx
+        dyi = points2d[i][1] - cy
+        dxj = points2d[j][0] - cx
+        dyj = points2d[j][1] - cy
+        return dxi * dyj - dyi * dxj
+
+    import functools
+
+    def cmp(i, j):
+        hi, hj = half(i), half(j)
+        if hi != hj:
+            return -1 if hi < hj else 1
+        c = cross(i, j)
+        if c > 0:
+            return -1
+        if c < 0:
+            return 1
+        return 0
+
+    return sorted(range(m), key=functools.cmp_to_key(cmp))
+
+
+def _area_vector(pts, normal):
+    """Normal scaled by the (dim-1)-volume of a flat convex piece (sign arbitrary).
+
+    In dimension 2 the piece is the segment between pts[0] and pts[-1]; in
+    dimension 3 it is the polygon on pts, in a plane with the given normal,
+    and the vector is its shoelace sum, taken in the cyclic order of the
+    points projected along a nonzero coordinate of the normal.
+    """
+    if len(pts[0]) == 2:
+        d = vsub(pts[-1], pts[0])
+        return (d[1], -d[0])
+    k = next(j for j, v in enumerate(normal) if v != 0)
+    ring = [pts[i] for i in cyclic_order([p[:k] + p[k + 1 :] for p in pts])]
+    sx = sy = sz = _ZERO
+    for i in range(len(ring)):
+        a = ring[i]
+        b = ring[(i + 1) % len(ring)]
+        sx += a[1] * b[2] - a[2] * b[1]
+        sy += a[2] * b[0] - a[0] * b[2]
+        sz += a[0] * b[1] - a[1] * b[0]
+    return (sx / 2, sy / 2, sz / 2)
+
+
+def facet_area_vectors(K):
+    """Outward facet area vectors of a full-dimensional body, in facet order."""
+    out = []
+    verts = K.vertices
+    for normal, support in K.facets():
+        vec = _area_vector([verts[i] for i in sorted(support)], normal)
+        side = dot(vec, rat_vector(normal))
+        if side < 0:
+            vec = vneg(vec)
+        elif side == 0:
+            raise AssertionError("degenerate facet area vector")
+        out.append(vec)
+    return out
+
+
+def flat_area_vector(K):
+    """Area vector of a body of affine dimension dim-1 (sign arbitrary)."""
+    verts = list(K.vertices)
+    normal = None
+    if K.dim == 3:
+        normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], 3)[0]
+    return _area_vector(verts, normal)

@@ -5,7 +5,9 @@ and Polytope filters extreme points with maxaffine.extreme_indices at every
 affine rank.  Each is compared with the code it replaced, kept unchanged in
 hull_reference.py, on seeded point sets in dimensions 1-4 of every affine
 rank: equal facet lists, equal H-representations up to positive row scaling,
-equal canonical vertices (cut_pair's pieces and sections included).
+equal canonical vertices (cut_pair's pieces and sections included).  Area
+vectors, now one volume-of-shadow formula, are compared with the old angular
+sort and shoelace sum on bodies of affine rank d and d - 1 in 2-D and 3-D.
 """
 
 from collections import Counter
@@ -14,9 +16,10 @@ from operator import mul
 from convval import polytopes
 from convval._geometry import Chart, affine_rank, facet_enum, hrep_with_vertical_ray, primitive_row
 from convval.generators import rng_for
-from convval.linalg import int_scaled
+from convval.linalg import dot, int_scaled, vneg
 from convval.maxaffine import _int_directions
-from convval.polytopes import Polytope, cut_pair
+from convval.polytopes import (Polytope, _flat_area_vector, cut_pair, facet_area_vectors,
+                               projection_body_support)
 from convval.rational import Q
 
 import hull_reference as ref
@@ -140,3 +143,29 @@ def test_polytope_vertices_match_reference(monkeypatch):
     for key in ("single point", "certificate tie", "cut-rank-0", "cut-rank-1", "cut-rank-2",
                 "cut-rank-3"):
         assert tags[key] >= 10, (key, tags)
+
+
+def test_area_vectors_match_shoelace_reference():
+    tags = Counter()
+    for i in range(400):
+        rng = rng_for(23, "area-vectors", i)
+        d = 2 + i % 2
+        pts = _point_set(rng, d)
+        rank = affine_rank(pts)
+        if rank < d - 1:
+            continue
+        K = Polytope(d, pts)
+        if rank == d:
+            want = ref.facet_area_vectors(K)
+            assert facet_area_vectors(K) == want
+        else:
+            flat = ref.flat_area_vector(K)
+            assert _flat_area_vector(K) in (flat, vneg(flat))
+            want = [flat, vneg(flat)]
+        for _ in range(5):
+            u = tuple(_entry(rng) for _ in range(d))
+            cauchy = sum((abs(dot(u, w)) for w in want), Q(0)) / 2
+            assert projection_body_support(K, u) == cauchy
+        tags[f"dim-{d}-rank-{rank}"] += 1
+    for key in ("dim-2-rank-1", "dim-2-rank-2", "dim-3-rank-2", "dim-3-rank-3"):
+        assert tags[key] >= 20, (key, tags)

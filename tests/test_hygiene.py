@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name it
-never uses, the package exports exactly what its `__init__` imports, and no
-private helper of the package is left without a reference."""
+never uses, the package exports exactly what its `__init__` imports, no
+private helper of the package is left without a reference in the package,
+and no public function or method of it without one in the repository's
+Python sources."""
 
 import ast
 from pathlib import Path
@@ -63,17 +65,18 @@ def test_package_exports_are_sorted_and_match_its_imports():
 # Decorators that register the function they wrap, so no call site names it.
 REGISTRARS = {"_check"}
 
+# Directories whose Python files may use a public def of the package.
+USERS = ("src", "tests", "perfbench", "benchmarks")
 
-def private_defs(tree):
-    """Module-level private functions and private methods, each with its line;
-    dunder names and functions registered by a REGISTRARS decorator are left out."""
+
+def package_defs(tree):
+    """Module-level functions and methods, each with its line; dunder names
+    and functions registered by a REGISTRARS decorator are left out."""
     defs = []
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         for fn in members:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            if not fn.name.startswith("_") or fn.name.endswith("__"):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.endswith("__"):
                 continue
             registered = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
                              and d.func.id in REGISTRARS for d in fn.decorator_list)
@@ -95,12 +98,26 @@ def referenced_names(tree):
     return names
 
 
-def dead_private_defs(sources):
-    """(module, line, name) of each private def that no source references."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = set().union(*map(referenced_names, trees.values()))
+def user_references(tree):
+    """The names a user module references, less the ones it defines at top
+    level: there it names its own function or class, not the package's."""
+    own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return referenced_names(tree) - own
+
+
+def dead_defs(package, users=()):
+    """(module, line, name) of each package def that nothing references.
+
+    `package` maps module names to sources; `users` are more sources.  A
+    private def counts as used when a package source names it; a public one
+    when a package source or a user source (user_references) does.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    internal = set().union(*map(referenced_names, trees.values()))
+    used = internal.union(*(user_references(ast.parse(s)) for s in users))
     return sorted((name, line, fn) for name, tree in trees.items()
-                  for line, fn in private_defs(tree) if fn not in used)
+                  for line, fn in package_defs(tree)
+                  if fn not in (internal if fn.startswith("_") else used))
 
 
 def test_dead_private_checker_sees_defs_and_uses():
@@ -110,9 +127,22 @@ def test_dead_private_checker_sees_defs_and_uses():
         "class C:\n    def _method(self):\n        pass\n    def _stale(self):\n        pass\n"
     )
     b = "from a import _used\n\ndef public(c):\n    return _used(), c._method()\n"
-    assert dead_private_defs({"a": a, "b": b}) == [("a", 4, "_dead"), ("a", 17, "_stale")]
+    assert dead_defs({"a": a, "b": b}) == [("a", 4, "_dead"), ("a", 17, "_stale"), ("b", 3, "public")]
 
 
-def test_no_dead_private_helpers_in_the_package():
+def test_dead_public_checker_counts_uses_outside_the_package():
+    a = (
+        "def api():\n    pass\n\ndef unused():\n    pass\n\ndef _helper():\n    pass\n\n"
+        "class C:\n    def method(self):\n        pass\n    def stale(self):\n        pass\n"
+    )
+    user = ("from a import api, _helper\n\ndef stale():\n    pass\n\n"
+            "api(), _helper(), obj.method(), stale()\n")
+    assert dead_defs({"a": a}, [user]) == [
+        ("a", 4, "unused"), ("a", 7, "_helper"), ("a", 13, "stale")]
+
+
+def test_no_dead_defs_in_the_package():
     package = sorted((ROOT / "src" / "convval").glob("*.py"))
-    assert dead_private_defs({p.name: p.read_text(encoding="utf-8") for p in package}) == []
+    users = sorted(p for d in USERS for p in (ROOT / d).rglob("*.py") if p not in package)
+    assert dead_defs({p.name: p.read_text(encoding="utf-8") for p in package},
+                     [p.read_text(encoding="utf-8") for p in users]) == []

@@ -14,9 +14,9 @@ import pytest
 from convval import (
     Polytope,
     Q,
-    SupportEvaluator,
     cut_pair,
     difference_body,
+    difference_body_support,
     facet_area_vectors,
     minkowski_sum,
     projection_body_support,
@@ -287,10 +287,10 @@ def test_cut_identity_for_difference_body_on_square():
     P = unit_square()
     K, L, M = cut_pair(P, (Q(1), Q(0)), Q(1, 2))
     e1 = (Q(1), Q(0))
-    hP = SupportEvaluator.of_difference(P).value(e1)
-    hM = SupportEvaluator.of_difference(M).value(e1)
-    hK = SupportEvaluator.of_difference(K).value(e1)
-    hL = SupportEvaluator.of_difference(L).value(e1)
+    hP = difference_body_support(P, e1)
+    hM = difference_body_support(M, e1)
+    hK = difference_body_support(K, e1)
+    hL = difference_body_support(L, e1)
     assert (hK, hL, hP, hM) == (Q(1, 2), Q(1, 2), Q(1), Q(0))
     assert hK + hL == hP + hM
 
@@ -325,18 +325,12 @@ def test_cut_identity_difference_and_projection_random():
         if t == lo or t == hi:
             continue
         K, L, M = cut_pair(P, w, t)
-        for kind in ("difference", "projection"):
-            make = (
-                SupportEvaluator.of_difference
-                if kind == "difference"
-                else SupportEvaluator.of_projection
-            )
-            eP, eK, eL, eM = make(P), make(K), make(L), make(M)
+        for h in (difference_body_support, projection_body_support):
             for _ in range(10):
                 u = tuple(Q(rng.randint(-3, 3)) for _ in range(dim))
                 if all(c == 0 for c in u):
                     continue
-                assert eK.value(u) + eL.value(u) == eP.value(u) + eM.value(u)
+                assert h(K, u) + h(L, u) == h(P, u) + h(M, u)
 
 
 def test_rogers_shephard_inequality_bound():
@@ -374,13 +368,6 @@ def test_cut_rejects_hyperplane_missing_interior():
         cut_pair(P, (Q(1), Q(0)), Q(2))
     with pytest.raises(ValueError):
         cut_pair(P, (Q(1), Q(0)), Q(0))  # touches the boundary only
-
-
-def test_support_evaluator_of_body_matches_polytope_support():
-    K = tri()
-    ev = SupportEvaluator.of_body(K)
-    for u in ((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(-1)), (Q(2), Q(1))):
-        assert ev.value(u) == K.support(u)
 
 
 def test_polytope_equality_semantic_and_hashable():
