@@ -1,21 +1,22 @@
 """Exact polyhedral geometry helpers.
 
-Everything operates on tuples of rationals.  Predicates (hyperplane sides,
-determinant signs) run on integer-rescaled copies of the input so the inner
-loops stay in machine-friendly integer arithmetic; volumes are returned in
-the original coordinates.  Every elimination (determinants, the chart's
-basis and coordinate rows, candidate vertex systems) is the one
-fraction-free kernel, linalg.int_rref.  Vertex enumeration is fraction-free
-from start to finish: each row is scaled once to a primitive integer row,
-every candidate system is solved by int_solve, and only the accepted
-vertices are turned into rationals.
+Everything operates on tuples of rationals.  Predicates (hyperplane sides)
+and measures run on integer-rescaled copies of the input so the inner loops
+stay in machine-friendly integer arithmetic; volumes are returned in the
+original coordinates.  Every elimination (facet normals, the chart's basis
+and coordinate rows, candidate vertex systems) is the one fraction-free
+kernel, linalg.int_rref.  Vertex enumeration is fraction-free from start to
+finish: each row is scaled once to a primitive integer row, every candidate
+system is solved by int_solve, and only the accepted vertices are turned
+into rationals.
 
 The algorithms are exhaustive rather than incremental: one
 supporting-hyperplane search over generator subsets (_supporting_hyperplanes)
 for both the facets of a hull and the lifted H-representation of a hull plus
-a vertical ray, recursive facet pyramids for volume, active-set enumeration
-for the vertices of an H-polyhedron.  Both enumerations raise CapabilityLimit
-past a candidate budget (MAX_FACET_CANDIDATES hyperplanes,
+a vertical ray, the facet recursion (_lattice_volume: one lattice pyramid
+per facet, no triangulation) for every volume and area vector, active-set
+enumeration for the vertices of an H-polyhedron.  Both enumerations raise
+CapabilityLimit past a candidate budget (MAX_FACET_CANDIDATES hyperplanes,
 MAX_HREP_CANDIDATES active sets).  Inputs in this package stay small
 (dimension at most four plus one lifted coordinate, a few dozen points),
 where exhaustive exact search is both simple and fast enough.
@@ -33,13 +34,6 @@ from .rational import Q
 
 _ZERO = Q(0)
 _ONE = Q(1)
-
-
-def int_det(rows):
-    """Determinant of a small square integer matrix."""
-    n = len(rows)
-    pivots, _, den, sign = int_rref(rows, n)
-    return sign * den if len(pivots) == n else 0
 
 
 def _cross_normal(vectors, d):
@@ -162,49 +156,58 @@ def facet_enum(points, d):
     ]
 
 
-def _drop_coordinate(p, k):
-    return p[:k] + p[k + 1 :]
+def _lattice_volume(points, d):
+    """d! times the d-volume of the hull of full-dimensional integer points.
 
-
-def triangulate(points, d):
-    """Index simplices covering the hull of a full-dimensional point set.
-
-    Pyramids from the lexicographically smallest point over a recursive
-    triangulation of every facet not containing it.
-    """
-    if d == 1:
-        lo = min(range(len(points)), key=lambda i: points[i][0])
-        hi = max(range(len(points)), key=lambda i: points[i][0])
-        return [(lo, hi)]
-    apex = min(range(len(points)), key=lambda i: points[i])
-    simplices = []
-    for normal, support in facet_enum(points, d):
-        if apex in support:
-            continue
-        k = next(j for j, v in enumerate(normal) if v != 0)
-        sub_idx = sorted(support)
-        sub_pts = [_drop_coordinate(points[i], k) for i in sub_idx]
-        for simplex in triangulate(sub_pts, d - 1):
-            simplices.append((apex,) + tuple(sub_idx[j] for j in simplex))
-    return simplices
-
-
-def volume(points, d):
-    """Exact d-volume of the convex hull; zero when lower-dimensional.
-
-    In dimension one the hull is an interval and its length is max - min.
+    For d = 1 the hull is an interval and this is max - min.  For d > 1 it
+    is the facet recursion (Lasserre; Büeler, Enge & Fukuda 2000): one
+    pyramid from the lexicographically smallest point p0, a vertex, over
+    every facet F not containing it.  With n the facet's primitive outward
+    normal, v any point of F and k a coordinate with n[k] != 0, the
+    pyramid's term is <n, v - p0> * _lattice_volume(shadow_k(F), d - 1)
+    // |n[k]|, where shadow_k drops coordinate k.  The shadow has
+    |n[k]| / |n| times the facet's (d-1)-volume and the pyramid's height is
+    <n, v - p0> / |n|, so the term is d! times the pyramid's volume.  The
+    pyramid has integer vertices, so d! times its volume is an integer and
+    the // is exact.
     """
     if d == 1:
         return max(p[0] for p in points) - min(p[0] for p in points)
+    p0 = min(points)
+    total = 0
+    for normal, support in facet_enum(points, d):
+        face = [points[i] for i in support]
+        height = sum(map(mul, normal, face[0])) - sum(map(mul, normal, p0))
+        if height:
+            k = next(j for j, v in enumerate(normal) if v != 0)
+            shadow = [p[:k] + p[k + 1 :] for p in face]
+            total += height * _lattice_volume(shadow, d - 1) // abs(normal[k])
+    return total
+
+
+def volume(points, d):
+    """Exact d-volume of the convex hull; zero when lower-dimensional."""
     if len(points) <= d or affine_rank(points) < d:
         return _ZERO
-    ints, denom = int_scaled(points)
-    total = 0
-    for simplex in triangulate(points, d):
-        base = ints[simplex[0]]
-        rows = [tuple(ints[i][j] - base[j] for j in range(d)) for i in simplex[1:]]
-        total += abs(int_det(rows))
-    return Q(total, math.factorial(d) * denom**d)
+    ints, den = int_scaled(points)
+    return Q(_lattice_volume(ints, d), math.factorial(d) * den**d)
+
+
+def area_vector(points, normal):
+    """Normal scaled by the (d-1)-volume of a flat convex piece with that normal.
+
+    Take a coordinate k with normal[k] != 0.  The piece's shadow with
+    coordinate k dropped has |normal[k]| / |normal| times the piece's
+    volume, so the area vector is normal times the shadow's volume over
+    |normal[k]|: the normal's length cancels and the value stays rational.
+    The shadow of a piece spanning a hyperplane is full-dimensional, so no
+    rank test is needed.
+    """
+    d = len(normal)
+    k = next(j for j, v in enumerate(normal) if v != 0)
+    ints, den = int_scaled([p[:k] + p[k + 1 :] for p in points])
+    scale = Q(_lattice_volume(ints, d - 1), math.factorial(d - 1) * den ** (d - 1)) / abs(normal[k])
+    return tuple(scale * v for v in normal)
 
 
 class Chart:

@@ -146,7 +146,6 @@ class HingePair:
     h: MaxAffineFn
     fmax: MaxAffineFn
     fmin: MaxAffineFn
-    base: MaxAffineFn
     u: tuple
     t: object
     cw: object
@@ -209,7 +208,7 @@ def hinge_pair(base, u, t, cw):
             raise AssertionError("hinge construction broke max{f, h} = base + cw|g|")
         if min(fx, hx) != fmin(x):
             raise AssertionError("hinge construction broke min{f, h} = base")
-    return HingePair(f=f, h=h, fmax=fmax, fmin=fmin, base=fmin, u=u, t=t, cw=cw)
+    return HingePair(f=f, h=h, fmax=fmax, fmin=fmin, u=u, t=t, cw=cw)
 
 
 def _check_hinge_pieces(fmin, f, h, fmax):

@@ -54,11 +54,15 @@ def rand_nonzero_point(rng, dim):
             return x
 
 
+def _rand_pieces(rng, dim, max_pieces):
+    """A random max-affine function with 1..max_pieces pieces, not pruned."""
+    count = rng.randint(1, max_pieces)
+    return MaxAffineFn(dim, [(rand_point(rng, dim), rand_rational(rng)) for _ in range(count)])
+
+
 def rand_maxaffine(rng, dim, max_pieces=MAX_PIECES):
     """A pruned random max-affine function with 1..max_pieces pieces."""
-    count = rng.randint(1, max_pieces)
-    pieces = [(rand_point(rng, dim), rand_rational(rng)) for _ in range(count)]
-    return prune(MaxAffineFn(dim, pieces))
+    return prune(_rand_pieces(rng, dim, max_pieces))
 
 
 def rand_affine(rng, dim):
@@ -126,7 +130,8 @@ def rand_valid_measure(rng, max_positive=2):
 
 
 def rand_hinge_pair(rng, dim, base_pieces=6):
-    base = rand_maxaffine(rng, dim, base_pieces)
+    """hinge_pair over the pieces rand_maxaffine draws; hinge_pair prunes them."""
+    base = _rand_pieces(rng, dim, base_pieces)
     u = tuple(rng.randint(-3, 3) for _ in range(dim))
     if all(v == 0 for v in u):
         u = (1,) + (0,) * (dim - 1)

@@ -230,26 +230,17 @@ def _gap_above_hull(aq, bq, ar, br, hull, n):
     ncols = 2 * n + 2 + 2 * m + 1
     rows = []
     rhs = []
-    for ap, bp in pieces:
-        row = [_ZERO] * ncols
-        for k in range(n):
-            row[k] = aq[k] - ap[k]
-            row[n + k] = -(aq[k] - ap[k])
-        row[2 * n] = -_ONE
-        row[2 * n + 1] = _ONE
-        rows.append(row)
-        rhs.append(bp - bq)
-    for ap, bp in pieces:
-        row = [_ZERO] * ncols
-        for k in range(n):
-            row[k] = ar[k] - ap[k]
-            row[n + k] = -(ar[k] - ap[k])
-        row[2 * n] = -_ONE
-        row[2 * n + 1] = _ONE
-        rows.append(row)
-        rhs.append(bp - br)
-    for i in range(2 * m):
-        rows[i][2 * n + 2 + i] = -_ONE
+    for a, b in ((aq, bq), (ar, br)):
+        for ap, bp in pieces:
+            row = [_ZERO] * ncols
+            for k in range(n):
+                row[k] = a[k] - ap[k]
+                row[n + k] = -(a[k] - ap[k])
+            row[2 * n] = -_ONE
+            row[2 * n + 1] = _ONE
+            row[2 * n + 2 + len(rows)] = -_ONE
+            rows.append(row)
+            rhs.append(bp - b)
     cap = [_ZERO] * ncols
     cap[2 * n] = _ONE
     cap[2 * n + 1] = -_ONE

@@ -14,7 +14,7 @@ identity checks cheap and independent of hull enumeration.
 from itertools import combinations
 from operator import mul
 
-from ._geometry import affine_rank, facet_enum, volume as _hull_volume
+from ._geometry import affine_rank, area_vector, facet_enum, volume as _hull_volume
 from .errors import CapabilityLimit, DimensionMismatch
 from .linalg import dot, int_scaled, nullspace, vadd, vneg, vsub
 from .maxaffine import extreme_indices
@@ -142,7 +142,7 @@ def facet_area_vectors(K):
     """Outward facet normals scaled by facet (dim-1)-volume, in facet order.
 
     Supported in dimensions 2 and 3 for full-dimensional bodies.  Each
-    vector is _area_vector of the facet's vertices and outward normal, so a
+    vector is area_vector of the facet's vertices and outward normal, so a
     positive multiple of that normal.  The vectors sum to zero (closedness
     of the boundary), which tests rely on.
     """
@@ -152,7 +152,7 @@ def facet_area_vectors(K):
         raise ValueError("facet area vectors need a full-dimensional body")
     if "area_vectors" not in K._cache:
         verts = K.vertices
-        K._cache["area_vectors"] = [_area_vector([verts[i] for i in support], normal)
+        K._cache["area_vectors"] = [area_vector([verts[i] for i in support], normal)
                                     for normal, support in K.facets()]
     return K._cache["area_vectors"]
 
@@ -162,22 +162,8 @@ def _flat_area_vector(K):
     if "flat_area_vector" not in K._cache:
         verts = list(K.vertices)
         normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], K.dim)[0]
-        K._cache["flat_area_vector"] = _area_vector(verts, normal)
+        K._cache["flat_area_vector"] = area_vector(verts, normal)
     return K._cache["flat_area_vector"]
-
-
-def _area_vector(pts, normal):
-    """Normal scaled by the (dim-1)-volume of a flat convex piece with that normal.
-
-    Take a coordinate k with normal[k] != 0.  The piece's shadow with
-    coordinate k dropped has |normal[k]| / |normal| times the piece's
-    volume, so the area vector is normal times the shadow's volume over
-    |normal[k]|: the normal's length cancels and the value stays rational.
-    """
-    k = next(j for j, v in enumerate(normal) if v != 0)
-    shadow = _hull_volume([p[:k] + p[k + 1 :] for p in pts], len(normal) - 1)
-    ratio = shadow / abs(normal[k])
-    return tuple(ratio * v for v in normal)
 
 
 def difference_body_support(K, u):

@@ -148,10 +148,6 @@ class ValuationSpec:
         )
 
 
-def quarter_turn():
-    return RationalMatrix.quarter_turn()
-
-
 def _argument_point(spec, s, x):
     if spec.variant == "contravariant-2d":
         # s * (T x) with T the quarter turn.
@@ -209,7 +205,7 @@ def psi_expand(spec, f, piece_cap=DEFAULT_PIECE_CAP):
     else:
         const = spec.c - f0 * moment
     out = MaxAffineFn.constant(n, const)
-    turn = quarter_turn() if spec.variant == "contravariant-2d" else None
+    turn = RationalMatrix.quarter_turn() if spec.variant == "contravariant-2d" else None
     for s, w in spec.nu.atoms:
         if w == 0:
             continue

@@ -14,9 +14,13 @@ from reading the verdict out of feasible_eq's (verdict, certificate) pair;
 them.  `cyclic_order` and `_area_vector` are the angular sort and shoelace
 sum that gave facet and flat area vectors before every such measure came
 from _geometry.volume; `facet_area_vectors` and `flat_area_vector` are the
-old polytopes functions around them, sign fix included.  The differential
-tests in test_hull.py and test_integer_paths.py compare the package with
-them.
+old polytopes functions around them, sign fix included.  `triangulate`
+and `volume` are the simplex triangulation and determinant sum that gave
+every volume before the facet recursion _geometry._lattice_volume, here
+over this module's facet_enum and elim_reference.int_det;
+`shadow_area_vector` is the old polytopes._area_vector around them.  The
+differential tests in test_hull.py and test_integer_paths.py compare the
+package with them.
 """
 
 import math
@@ -30,6 +34,7 @@ from convval.errors import CapabilityLimit
 from convval.linalg import dot, int_scaled, nullspace, vneg, vsub
 from convval.maxaffine import _int_directions
 from convval.rational import Q, rat_vector
+from elim_reference import int_det
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -335,3 +340,62 @@ def flat_area_vector(K):
     if K.dim == 3:
         normal = nullspace([vsub(p, verts[0]) for p in verts[1:]], 3)[0]
     return _area_vector(verts, normal)
+
+
+def _drop_coordinate(p, k):
+    return p[:k] + p[k + 1 :]
+
+
+def triangulate(points, d):
+    """Index simplices covering the hull of a full-dimensional point set.
+
+    Pyramids from the lexicographically smallest point over a recursive
+    triangulation of every facet not containing it.
+    """
+    if d == 1:
+        lo = min(range(len(points)), key=lambda i: points[i][0])
+        hi = max(range(len(points)), key=lambda i: points[i][0])
+        return [(lo, hi)]
+    apex = min(range(len(points)), key=lambda i: points[i])
+    simplices = []
+    for normal, support in facet_enum(points, d):
+        if apex in support:
+            continue
+        k = next(j for j, v in enumerate(normal) if v != 0)
+        sub_idx = sorted(support)
+        sub_pts = [_drop_coordinate(points[i], k) for i in sub_idx]
+        for simplex in triangulate(sub_pts, d - 1):
+            simplices.append((apex,) + tuple(sub_idx[j] for j in simplex))
+    return simplices
+
+
+def volume(points, d):
+    """Exact d-volume of the convex hull; zero when lower-dimensional.
+
+    In dimension one the hull is an interval and its length is max - min.
+    """
+    if d == 1:
+        return max(p[0] for p in points) - min(p[0] for p in points)
+    if len(points) <= d or affine_rank(points) < d:
+        return _ZERO
+    ints, denom = int_scaled(points)
+    total = 0
+    for simplex in triangulate(points, d):
+        base = ints[simplex[0]]
+        rows = [tuple(ints[i][j] - base[j] for j in range(d)) for i in simplex[1:]]
+        total += abs(int_det(rows))
+    return Q(total, math.factorial(d) * denom**d)
+
+
+def shadow_area_vector(pts, normal):
+    """Normal scaled by the (dim-1)-volume of a flat convex piece with that normal.
+
+    Take a coordinate k with normal[k] != 0.  The piece's shadow with
+    coordinate k dropped has |normal[k]| / |normal| times the piece's
+    volume, so the area vector is normal times the shadow's volume over
+    |normal[k]|: the normal's length cancels and the value stays rational.
+    """
+    k = next(j for j, v in enumerate(normal) if v != 0)
+    shadow = volume([p[:k] + p[k + 1 :] for p in pts], len(normal) - 1)
+    ratio = shadow / abs(normal[k])
+    return tuple(ratio * v for v in normal)

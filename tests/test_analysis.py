@@ -135,7 +135,6 @@ def test_hinge_pair_matches_five_prune_reference():
         want = ref.hinge_pair(base, u, t, cw)
         pair = hinge_pair(base, u, t, cw)
         assert (pair.f, pair.h, pair.fmax, pair.fmin) == want, k
-        assert pair.base == pair.fmin
         lows = pair.fmin.pieces
         g = (tuple(cw * v for v in u), -cw * t)
         ups = [(tuple(x + y for x, y in zip(a, g[0])), b + g[1]) for a, b in lows]

@@ -8,15 +8,18 @@ rank: equal facet lists, equal H-representations up to positive row scaling,
 equal canonical vertices (cut_pair's pieces and sections included).  Area
 vectors, now one volume-of-shadow formula, are compared with the old angular
 sort and shoelace sum on bodies of affine rank d and d - 1 in 2-D and 3-D.
+Volumes and area vectors, now one facet recursion, are compared with the old
+triangulation and determinant sum in dimensions 1-4.
 """
 
 from collections import Counter
 from operator import mul
 
 from convval import polytopes
-from convval._geometry import Chart, affine_rank, facet_enum, hrep_with_vertical_ray, primitive_row
+from convval._geometry import (Chart, affine_rank, area_vector, facet_enum, hrep_with_vertical_ray,
+                               primitive_row, volume)
 from convval.generators import rng_for
-from convval.linalg import dot, int_scaled, vneg
+from convval.linalg import dot, int_scaled, nullspace, vneg, vsub
 from convval.maxaffine import _int_directions
 from convval.polytopes import (Polytope, _flat_area_vector, cut_pair, facet_area_vectors,
                                projection_body_support)
@@ -169,3 +172,35 @@ def test_area_vectors_match_shoelace_reference():
         tags[f"dim-{d}-rank-{rank}"] += 1
     for key in ("dim-2-rank-1", "dim-2-rank-2", "dim-3-rank-2", "dim-3-rank-3"):
         assert tags[key] >= 20, (key, tags)
+
+
+def test_volume_and_area_vector_match_triangulation_reference():
+    q = type(Q(0))
+    tags = Counter()
+    for i in range(600):
+        rng = rng_for(23, "volume", i)
+        d = 1 + i % 4
+        pts = _point_set(rng, d)
+        got = volume(pts, d)
+        assert got == ref.volume(pts, d) and type(got) is q
+        rank = affine_rank(pts)
+        tags[f"dim-{d}"] += 1
+        tags["lower rank"] += rank < d
+        tags["repeated point"] += len(set(pts)) < len(pts)
+        tags["non-integer"] += any(v.denominator != 1 for p in pts for v in p)
+        if d == 1 or rank < d - 1:
+            continue
+        if rank == d:
+            pieces = [(normal, [pts[j] for j in support]) for normal, support in facet_enum(pts, d)]
+        else:
+            pieces = [(nullspace([vsub(p, pts[0]) for p in pts[1:]], d)[0], pts)]
+        for normal, face in pieces:
+            got = area_vector(face, normal)
+            assert got == ref.shadow_area_vector(face, normal) and all(type(v) is q for v in got)
+            k = next(j for j, v in enumerate(normal) if v != 0)
+            tags["|n[k]| > 1"] += abs(normal[k]) > 1
+            tags[f"area-dim-{d}-rank-{rank}"] += 1
+    for key in ("dim-1", "dim-2", "dim-3", "dim-4", "lower rank", "repeated point", "non-integer",
+                "|n[k]| > 1", "area-dim-2-rank-1", "area-dim-2-rank-2", "area-dim-3-rank-2",
+                "area-dim-3-rank-3", "area-dim-4-rank-3", "area-dim-4-rank-4"):
+        assert tags[key] >= 10, (key, tags)

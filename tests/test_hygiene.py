@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name it
 never uses, the package exports exactly what its `__init__` imports, no
-private helper of the package is left without a reference in the package,
-and no public function or method of it without one in the repository's
-Python sources."""
+private helper of the package (nor any def of a private module such as
+`_geometry.py`) is left without a reference in the package, and no public
+function or method of it without one in the repository's Python sources."""
 
 import ast
 from pathlib import Path
@@ -105,19 +105,25 @@ def user_references(tree):
     return referenced_names(tree) - own
 
 
+def is_private(name):
+    """A leading underscore, not a dunder: `_helper`, `_geometry.py`."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def dead_defs(package, users=()):
     """(module, line, name) of each package def that nothing references.
 
     `package` maps module names to sources; `users` are more sources.  A
-    private def counts as used when a package source names it; a public one
-    when a package source or a user source (user_references) does.
+    private def, or any def of a private module, counts as used when a
+    package source names it; a public def of a public module when a package
+    source or a user source (user_references) does.
     """
     trees = {name: ast.parse(source) for name, source in package.items()}
     internal = set().union(*map(referenced_names, trees.values()))
     used = internal.union(*(user_references(ast.parse(s)) for s in users))
     return sorted((name, line, fn) for name, tree in trees.items()
                   for line, fn in package_defs(tree)
-                  if fn not in (internal if fn.startswith("_") else used))
+                  if fn not in (internal if is_private(name) or is_private(fn) else used))
 
 
 def test_dead_private_checker_sees_defs_and_uses():
@@ -135,10 +141,14 @@ def test_dead_public_checker_counts_uses_outside_the_package():
         "def api():\n    pass\n\ndef unused():\n    pass\n\ndef _helper():\n    pass\n\n"
         "class C:\n    def method(self):\n        pass\n    def stale(self):\n        pass\n"
     )
-    user = ("from a import api, _helper\n\ndef stale():\n    pass\n\n"
-            "api(), _helper(), obj.method(), stale()\n")
-    assert dead_defs({"a": a}, [user]) == [
-        ("a", 4, "unused"), ("a", 7, "_helper"), ("a", 13, "stale")]
+    # A private module's public defs live only through the package: `det`,
+    # which only a user calls, is dead; `kernel`, which `a` calls, is not.
+    p = "def kernel():\n    pass\n\ndef det():\n    pass\n"
+    a += "\ndef uses_kernel():\n    return kernel()\n"
+    user = ("from a import api, _helper, uses_kernel\nfrom _p import det\n\ndef stale():\n"
+            "    pass\n\napi(), _helper(), obj.method(), stale(), uses_kernel(), det()\n")
+    assert dead_defs({"a": a, "_p": p}, [user]) == [
+        ("_p", 4, "det"), ("a", 4, "unused"), ("a", 7, "_helper"), ("a", 13, "stale")]
 
 
 def test_no_dead_defs_in_the_package():

@@ -292,7 +292,7 @@ def test_integer_kernel_matches_rational_tableau_on_prune_programs(monkeypatch):
         return real(A, b)
 
     monkeypatch.setattr(_simplex, "feasible_eq", recording)
-    for k in range(48):
+    for k in range(60):
         rand_hinge_pair(rng_for(1, "simplex-prune", k), 1 + k % 3)
     monkeypatch.undo()
     assert len(programs) >= 150
